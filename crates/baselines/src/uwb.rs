@@ -96,10 +96,11 @@ impl UwbLocalizer {
     /// Solves for the position given one range per anchor, starting the
     /// Gauss–Newton iteration from `initial`.
     ///
-    /// Non-finite ranges (NaN *and* ±∞ — the same predicate the fused
-    /// anchor-range kernel applies) are dropped measurements: the
-    /// corresponding anchor simply does not contribute a residual that
-    /// iteration, instead of poisoning the normal equations.
+    /// Unusable measurements (a NaN or ±∞ range, or a non-finite anchor
+    /// position — [`mcl_sensor::anchor_is_usable`], the predicate the fused
+    /// anchor-range kernel applies) are dropped: the corresponding anchor
+    /// simply does not contribute a residual that iteration, instead of
+    /// poisoning the normal equations.
     pub fn solve(&self, ranges: &[f32], initial: Point2) -> Point2 {
         let mut p = initial;
         for _ in 0..self.config.solver_iterations {
@@ -110,7 +111,7 @@ impl UwbLocalizer {
             let mut g0 = 0.0f64;
             let mut g1 = 0.0f64;
             for (anchor, &z) in self.anchors.iter().zip(ranges.iter()) {
-                if !z.is_finite() {
+                if !mcl_sensor::anchor_is_usable(anchor.position.x, anchor.position.y, z) {
                     continue;
                 }
                 let dx = f64::from(p.x - anchor.position.x);

@@ -61,51 +61,6 @@ fn bench_motion(c: &mut Criterion) {
     }
     kernel_group.finish();
 
-    // Scalar vs lane-batched kernel backend on one full-population invocation:
-    // the motion kernel is RNG/trigonometry-bound, so the lanes group mostly
-    // documents that the backend does not regress (the big lanes win lives in
-    // the observation bench).
-    let mut backend_group = c.benchmark_group("motion_backend");
-    backend_group.sample_size(30);
-    {
-        let n = 4096usize;
-        let soa: ParticleBuffer<f32> = particles(n).into_iter().collect();
-        backend_group.bench_with_input(BenchmarkId::new("scalar", n), &soa, |b, soa| {
-            b.iter_batched(
-                || soa.clone(),
-                |mut batch| {
-                    kernel::motion_predict(batch.as_mut_slice(), &model, &delta, 7, 3, 0);
-                    batch
-                },
-                criterion::BatchSize::LargeInput,
-            )
-        });
-        backend_group.bench_with_input(BenchmarkId::new("lanes", n), &soa, |b, soa| {
-            b.iter_batched(
-                || soa.clone(),
-                |mut batch| {
-                    kernel::motion_predict_lanes(batch.as_mut_slice(), &model, &delta, 7, 3, 0);
-                    batch
-                },
-                criterion::BatchSize::LargeInput,
-            )
-        });
-        // The avx2 entry documents the delegation (motion_predict_avx2 runs
-        // the lanes body — the kernel is RNG/trig-bound): the archived table
-        // should show parity, not a win.
-        backend_group.bench_with_input(BenchmarkId::new("avx2", n), &soa, |b, soa| {
-            b.iter_batched(
-                || soa.clone(),
-                |mut batch| {
-                    kernel::motion_predict_avx2(batch.as_mut_slice(), &model, &delta, 7, 3, 0);
-                    batch
-                },
-                criterion::BatchSize::LargeInput,
-            )
-        });
-    }
-    backend_group.finish();
-
     // Spawn-vs-pool: the same motion kernel over the same chunks, executed on
     // the persistent shared pool vs. fresh scoped threads per dispatch. At one
     // worker both run inline on the caller (the pool must be no slower); at

@@ -12,6 +12,9 @@
 //!   [`mcl_core::kernel::observation_log_likelihoods`] on 1 and 8 workers.
 //! * `observation_dispatch` — spawn-vs-pool: the same kernel over the same
 //!   chunks on the persistent worker pool vs. scoped threads per dispatch.
+//! * `observation_backend` — every kernel backend through
+//!   [`mcl_core::kernel::observation_log_likelihoods_with`], on the fp32 and
+//!   the quantized map.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcl_core::kernel;
@@ -190,10 +193,16 @@ fn bench_observation(c: &mut Criterion) {
     }
     dispatch_group.finish();
 
-    // Scalar vs lane-batched kernel backend on one full-population invocation
-    // (no dispatch, so the group isolates the loop shape): identical results
-    // bit for bit, the lanes body vectorizes the end-point rotation, the
-    // world→cell divides and the Eq. 1 accumulation across 8 particles.
+    // Every backend of the observation kernel (the one kernel with scalar,
+    // lanes and avx2 bodies) on one full-population invocation, with no
+    // dispatch, so the group isolates the loop shape: identical results bit
+    // for bit. The quantized map (the fp32qm/fp16qm configurations) pays the
+    // same lookup shape, so the `_qm` entries measure the FP16_QM speedup
+    // rather than infer it; the `avx2_qm` / `scalar_qm` ratio is what the
+    // GAP9 cost-model fixture (mcl_gap9::cost) checks `simd_speedup`
+    // against. The avx2 entries are skipped (visibly) when the host cannot
+    // run the intrinsics — archiving the Lanes fallback under the avx2 label
+    // would poison the comparison.
     let mut backend_group = c.benchmark_group("observation_backend");
     backend_group.sample_size(30);
     {
@@ -201,71 +210,19 @@ fn bench_observation(c: &mut Criterion) {
         let soa: ParticleBuffer<f32> = particles_aos(n).into_iter().collect();
         let mut batch = BeamBatch::from_beams(&beams);
         batch.partition_in_range(model.r_max());
-        backend_group.bench_with_input(BenchmarkId::new("scalar", n), &soa, |b, soa| {
-            b.iter(|| {
-                let mut out = vec![0.0f32; soa.len()];
-                kernel::observation_log_likelihoods(
-                    soa.as_slice(),
-                    scenario.edt_fp32(),
-                    &model,
-                    &batch,
-                    &mut out,
+        for backend in kernel::KernelBackend::ALL {
+            if !backend.is_available() {
+                eprintln!(
+                    "observation_backend: host lacks {} — skipping its entries",
+                    backend.name()
                 );
-                out
-            })
-        });
-        backend_group.bench_with_input(BenchmarkId::new("lanes", n), &soa, |b, soa| {
-            b.iter(|| {
-                let mut out = vec![0.0f32; soa.len()];
-                kernel::observation_log_likelihoods_lanes(
-                    soa.as_slice(),
-                    scenario.edt_fp32(),
-                    &model,
-                    &batch,
-                    &mut out,
-                );
-                out
-            })
-        });
-        // The quantized map (the fp32qm/fp16qm configurations) pays the same
-        // lookup shape; archive it too so the FP16_QM speedup is measured,
-        // not inferred.
-        backend_group.bench_with_input(BenchmarkId::new("scalar_qm", n), &soa, |b, soa| {
-            b.iter(|| {
-                let mut out = vec![0.0f32; soa.len()];
-                kernel::observation_log_likelihoods(
-                    soa.as_slice(),
-                    scenario.edt_quantized(),
-                    &model,
-                    &batch,
-                    &mut out,
-                );
-                out
-            })
-        });
-        backend_group.bench_with_input(BenchmarkId::new("lanes_qm", n), &soa, |b, soa| {
-            b.iter(|| {
-                let mut out = vec![0.0f32; soa.len()];
-                kernel::observation_log_likelihoods_lanes(
-                    soa.as_slice(),
-                    scenario.edt_quantized(),
-                    &model,
-                    &batch,
-                    &mut out,
-                );
-                out
-            })
-        });
-        // The explicit-AVX2 backend, on both map storages; its quantized-map
-        // ratio against `scalar_qm` is what the GAP9 cost-model fixture
-        // (mcl_gap9::cost) checks `simd_speedup` against. Skipped (visibly)
-        // when the host cannot run the intrinsics — archiving the Lanes
-        // fallback under the avx2 label would poison the comparison.
-        if kernel::KernelBackend::Avx2.is_available() {
-            backend_group.bench_with_input(BenchmarkId::new("avx2", n), &soa, |b, soa| {
+                continue;
+            }
+            backend_group.bench_with_input(BenchmarkId::new(backend.name(), n), &soa, |b, soa| {
                 b.iter(|| {
                     let mut out = vec![0.0f32; soa.len()];
-                    kernel::observation_log_likelihoods_avx2(
+                    kernel::observation_log_likelihoods_with(
+                        backend,
                         soa.as_slice(),
                         scenario.edt_fp32(),
                         &model,
@@ -275,10 +232,12 @@ fn bench_observation(c: &mut Criterion) {
                     out
                 })
             });
-            backend_group.bench_with_input(BenchmarkId::new("avx2_qm", n), &soa, |b, soa| {
+            let label = format!("{}_qm", backend.name());
+            backend_group.bench_with_input(BenchmarkId::new(label, n), &soa, |b, soa| {
                 b.iter(|| {
                     let mut out = vec![0.0f32; soa.len()];
-                    kernel::observation_log_likelihoods_avx2(
+                    kernel::observation_log_likelihoods_with(
+                        backend,
                         soa.as_slice(),
                         scenario.edt_quantized(),
                         &model,
@@ -288,8 +247,6 @@ fn bench_observation(c: &mut Criterion) {
                     out
                 })
             });
-        } else {
-            eprintln!("observation_backend: host lacks AVX2 — skipping the avx2/avx2_qm entries");
         }
     }
     backend_group.finish();

@@ -60,22 +60,6 @@ fn bench_pose(c: &mut Criterion) {
     }
     kernel_group.finish();
 
-    // Scalar vs lane-batched accumulation bodies on the sequential fixed-block
-    // reduction (identical block boundaries and f64 fold order — the backends
-    // are bit-identical; the lanes body vectorizes the widening and products).
-    let mut backend_group = c.benchmark_group("pose_backend");
-    backend_group.sample_size(30);
-    {
-        let n = 4096usize;
-        let soa: ParticleBuffer<f32> = particles(n).into_iter().collect();
-        for backend in mcl_core::KernelBackend::ALL {
-            backend_group.bench_with_input(BenchmarkId::new(backend.name(), n), &soa, |b, soa| {
-                b.iter(|| kernel::pose_estimate_with(soa, &ClusterLayout::SINGLE, backend))
-            });
-        }
-    }
-    backend_group.finish();
-
     // Spawn-vs-pool on the pose reduction: the same fixed 256-particle blocks
     // folded in order, distributed over the persistent pool vs. scoped threads
     // spawned per dispatch.

@@ -134,67 +134,6 @@ fn bench_resampling(c: &mut Criterion) {
     }
     kernel_group.finish();
 
-    // Scalar vs lane-batched scatter on one full-population plan: component
-    // passes vs lane-group gathers that load each index once for all three
-    // pose components. Pure copies — bit-identical output either way.
-    let mut backend_group = c.benchmark_group("resampling_backend");
-    backend_group.sample_size(30);
-    {
-        let n = 4096usize;
-        let uniform = 1.0 / n as f32;
-        let soa: ParticleBuffer<f32> = particles(n).into_iter().collect();
-        let plan = PartialSumResampler::new(1).plan(soa.weight(), 0.37);
-        backend_group.bench_with_input(BenchmarkId::new("scalar", n), &soa, |b, soa| {
-            b.iter_batched(
-                || soa.clone(),
-                |mut scratch| {
-                    kernel::resample_scatter(
-                        soa.as_slice(),
-                        scratch.as_mut_slice(),
-                        &plan.indices,
-                        uniform,
-                    );
-                    scratch.get(0)
-                },
-                criterion::BatchSize::LargeInput,
-            )
-        });
-        backend_group.bench_with_input(BenchmarkId::new("lanes", n), &soa, |b, soa| {
-            b.iter_batched(
-                || soa.clone(),
-                |mut scratch| {
-                    kernel::resample_scatter_lanes(
-                        soa.as_slice(),
-                        scratch.as_mut_slice(),
-                        &plan.indices,
-                        uniform,
-                    );
-                    scratch.get(0)
-                },
-                criterion::BatchSize::LargeInput,
-            )
-        });
-        // The avx2 entry documents the delegation (resample_scatter_avx2 runs
-        // the lanes body — the scatter is memory-bound copies of a generic
-        // scalar type): the archived table should show parity, not a win.
-        backend_group.bench_with_input(BenchmarkId::new("avx2", n), &soa, |b, soa| {
-            b.iter_batched(
-                || soa.clone(),
-                |mut scratch| {
-                    kernel::resample_scatter_avx2(
-                        soa.as_slice(),
-                        scratch.as_mut_slice(),
-                        &plan.indices,
-                        uniform,
-                    );
-                    scratch.get(0)
-                },
-                criterion::BatchSize::LargeInput,
-            )
-        });
-    }
-    backend_group.finish();
-
     // Spawn-vs-pool on the scatter: identical plan (so identical per-worker
     // output ranges), executed through the persistent pool vs. per-dispatch
     // scoped threads.

@@ -20,9 +20,9 @@
 //! persistent shared [`crate::pool::WorkerPool`] (resident threads, no spawn
 //! per update — and a filter updating inside an already-parallel job, such as
 //! an `mcl_sim::run_batch` worker, automatically runs its kernels inline
-//! instead of oversubscribing the host). The beams of the observation are
-//! flattened into a [`BeamBatch`] **once per update** and partitioned for the
-//! configured `r_max` so the correction loop body is branch-free. When the
+//! instead of oversubscribing the host). The beams of the observation arrive
+//! flattened into a [`BeamBatch`](mcl_sensor::BeamBatch) **once per update**; a batch partitioned
+//! for the configured `r_max` makes the correction loop body branch-free. When the
 //! batch carries anchor ranges, the anchor-range kernel *adds* its per-sensor
 //! log-likelihoods into the same per-particle accumulator the beam kernel
 //! fills, so the correct step stays one reweight pass regardless of how many
@@ -30,11 +30,6 @@
 //! (log-likelihoods, f32 weights) are reused across updates, so the
 //! steady-state hot path performs no heap allocation beyond the resampling
 //! plan.
-//!
-//! The pre-fusion beam-only entry points (`update`, `update_batch`,
-//! `force_update`, `force_update_batch`) remain as deprecated shims that
-//! forward to the same iteration with no anchor block — bit-identical to the
-//! pre-redesign behaviour, as pinned by the golden trace test.
 
 use crate::adaptive::{self, AdaptiveState};
 use crate::config::{MclConfig, MclError};
@@ -48,7 +43,7 @@ use crate::resampling::{PartialSumResampler, ResamplePlan};
 use crate::rng::CounterRng;
 use mcl_gridmap::{DistanceField, OccupancyGrid, Pose2};
 use mcl_num::Scalar;
-use mcl_sensor::{Beam, BeamBatch, ObservationBatch};
+use mcl_sensor::ObservationBatch;
 
 /// Result of offering an observation to the filter.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -268,11 +263,12 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
     /// Per-sensor log-likelihood kernels sum into the particle weights: the
     /// beam kernel fills the per-particle accumulator, then (only when the
     /// batch [carries anchors](ObservationBatch::has_anchors)) the
-    /// anchor-range kernel adds its scores on top. A beam-only batch is
-    /// bit-identical to the deprecated [`MonteCarloLocalization::update_batch`]
-    /// path; non-finite anchor ranges are skipped, never propagated.
+    /// anchor-range kernel adds its scores on top, so a beam-only batch runs
+    /// exactly the beam-only floating-point sequence. Unusable anchors (a
+    /// non-finite range or position, see [`mcl_sensor::anchor_is_usable`])
+    /// are skipped, never propagated.
     ///
-    /// Callers that [partition](BeamBatch::partition_in_range) the beam block
+    /// Callers that [partition](mcl_sensor::BeamBatch::partition_in_range) the beam block
     /// for this filter's `r_max` get the branch-free correction loop; an
     /// unpartitioned batch is scored through the (bit-identical) per-beam
     /// range test.
@@ -292,9 +288,7 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
             self.counters.updates_skipped += 1;
             return Ok(UpdateOutcome::Skipped);
         }
-        Ok(UpdateOutcome::Applied(
-            self.apply_iteration(observations.beams(), Some(observations)),
-        ))
+        Ok(UpdateOutcome::Applied(self.apply_iteration(observations)))
     }
 
     /// Applies one full multi-sensor MCL iteration regardless of the motion
@@ -311,90 +305,7 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
             self.particles.is_initialized(),
             "initialize the particle set before updating"
         );
-        self.apply_iteration(observations.beams(), Some(observations))
-    }
-
-    /// Offers a beam-only observation to the filter. Applies the full MCL
-    /// iteration when the motion gate is open, otherwise skips it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MclError::NotInitialized`] before the particles have been
-    /// initialized.
-    #[deprecated(
-        note = "use `update_observations` with an `ObservationBatch` (beam-only batches are bit-identical to this shim)"
-    )]
-    pub fn update(&mut self, beams: &[Beam]) -> Result<UpdateOutcome, MclError> {
-        if !self.particles.is_initialized() {
-            return Err(MclError::NotInitialized);
-        }
-        if !self.gate_open() {
-            self.counters.updates_skipped += 1;
-            return Ok(UpdateOutcome::Skipped);
-        }
-        let mut batch = BeamBatch::from_beams(beams);
-        batch.partition_in_range(self.config.r_max);
-        Ok(UpdateOutcome::Applied(self.apply_iteration(&batch, None)))
-    }
-
-    /// Offers a pre-flattened beam-only observation to the filter — the
-    /// allocation-lean entry point for callers that build the [`BeamBatch`]
-    /// straight from sensor frames. Callers that additionally
-    /// [partition](BeamBatch::partition_in_range) the batch for this filter's
-    /// `r_max` get the branch-free correction loop; an unpartitioned batch is
-    /// scored through the (bit-identical) per-beam range test.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MclError::NotInitialized`] before the particles have been
-    /// initialized.
-    #[deprecated(
-        note = "use `update_observations` with an `ObservationBatch` (beam-only batches are bit-identical to this shim)"
-    )]
-    pub fn update_batch(&mut self, batch: &BeamBatch) -> Result<UpdateOutcome, MclError> {
-        if !self.particles.is_initialized() {
-            return Err(MclError::NotInitialized);
-        }
-        if !self.gate_open() {
-            self.counters.updates_skipped += 1;
-            return Ok(UpdateOutcome::Skipped);
-        }
-        Ok(UpdateOutcome::Applied(self.apply_iteration(batch, None)))
-    }
-
-    /// Applies one full beam-only MCL iteration regardless of the motion gate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the particles have not been initialized; use
-    /// [`MonteCarloLocalization::update`] for the checked variant.
-    #[deprecated(
-        note = "use `force_update_observations` with an `ObservationBatch` (beam-only batches are bit-identical to this shim)"
-    )]
-    pub fn force_update(&mut self, beams: &[Beam]) -> PoseEstimate {
-        let mut batch = BeamBatch::from_beams(beams);
-        batch.partition_in_range(self.config.r_max);
-        assert!(
-            self.particles.is_initialized(),
-            "initialize the particle set before updating"
-        );
-        self.apply_iteration(&batch, None)
-    }
-
-    /// Batched variant of [`MonteCarloLocalization::force_update`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the particles have not been initialized.
-    #[deprecated(
-        note = "use `force_update_observations` with an `ObservationBatch` (beam-only batches are bit-identical to this shim)"
-    )]
-    pub fn force_update_batch(&mut self, batch: &BeamBatch) -> PoseEstimate {
-        assert!(
-            self.particles.is_initialized(),
-            "initialize the particle set before updating"
-        );
-        self.apply_iteration(batch, None)
+        self.apply_iteration(observations)
     }
 
     /// The current pose estimate (weighted particle average), reduced by the
@@ -448,15 +359,9 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
         estimate
     }
 
-    /// One full prediction–correction–resampling–pose sequence. `fused`
-    /// carries the anchor-range block when the caller came through the
-    /// multi-sensor API; `None` (the deprecated beam-only shims) runs the
-    /// exact pre-fusion instruction sequence.
-    fn apply_iteration(
-        &mut self,
-        batch: &BeamBatch,
-        fused: Option<&ObservationBatch>,
-    ) -> PoseEstimate {
+    /// One full prediction–correction–resampling–pose sequence.
+    fn apply_iteration(&mut self, observations: &ObservationBatch) -> PoseEstimate {
+        let batch = observations.beams();
         let delta = self.pending;
         self.pending = MotionDelta::default();
         self.update_counter += 1;
@@ -516,25 +421,23 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
         // The dispatch is strictly gated on the anchor block being non-empty
         // so beam-only updates execute the exact pre-fusion floating-point
         // sequence (golden-trace pinned).
-        if let Some(observations) = fused {
-            if observations.has_anchors() {
-                let anchor_model = self.anchor_model;
-                cluster.for_each_split(
-                    (
-                        self.particles.current().as_slice(),
-                        self.log_likelihoods.as_mut_slice(),
-                    ),
-                    |_, (chunk, out)| {
-                        kernel::anchor_log_likelihoods_with(
-                            backend,
-                            chunk,
-                            &anchor_model,
-                            observations,
-                            out,
-                        );
-                    },
-                );
-            }
+        if observations.has_anchors() {
+            let anchor_model = self.anchor_model;
+            cluster.for_each_split(
+                (
+                    self.particles.current().as_slice(),
+                    self.log_likelihoods.as_mut_slice(),
+                ),
+                |_, (chunk, out)| {
+                    kernel::anchor_log_likelihoods_with(
+                        backend,
+                        chunk,
+                        &anchor_model,
+                        observations,
+                        out,
+                    );
+                },
+            );
         }
         let mut max_log = self
             .log_likelihoods
@@ -562,16 +465,14 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
         //   weights and logs, so the outcome is schedule- and
         //   backend-independent.
         let raw_mean_likelihood = if self.adaptive.is_some() {
-            // Per-observation normalization count: in-range beams plus, for
-            // fused updates, the usable (finite) anchor ranges that also
-            // contributed log-likelihood mass. Integer-only, so the
-            // beam-only value is unchanged from the pre-fusion behaviour.
-            let mut observations_used = batch
+            // Per-observation normalization count: in-range beams plus the
+            // usable anchor ranges that also contributed log-likelihood
+            // mass. Integer-only, so the beam-only value is unchanged from
+            // the pre-fusion behaviour.
+            let observations_used = batch
                 .in_range_prefix(self.config.r_max)
-                .unwrap_or_else(|| batch.len());
-            if let Some(observations) = fused {
-                observations_used += observations.usable_anchor_count();
-            }
+                .unwrap_or_else(|| batch.len())
+                + observations.usable_anchor_count();
             let beams = observations_used.max(1);
             let mean = if max_log.is_finite() {
                 let mean_rel = self
@@ -832,14 +733,12 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
 
 #[cfg(test)]
 mod tests {
-    // The pre-fusion entry points are deprecated shims whose behaviour these
-    // tests deliberately keep pinned alongside the fused paths.
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::adaptive::AdaptiveConfig;
+    use crate::kernel::KernelBackend;
     use mcl_gridmap::{EuclideanDistanceField, MapBuilder, OccupancyGrid};
     use mcl_num::F16;
-    use mcl_sensor::{AnchorRange, SensorConfig, SensorRig};
+    use mcl_sensor::{AnchorRange, Beam, SensorConfig, SensorRig};
     use rand::SeedableRng;
 
     fn arena() -> OccupancyGrid {
@@ -867,6 +766,13 @@ mod tests {
         MclConfig::default().with_particles(n).with_seed(5)
     }
 
+    /// The beam-only observation of `beams`, partitioned for `r_max`.
+    fn beam_only(beams: &[Beam], r_max: f32) -> ObservationBatch {
+        let mut observations = ObservationBatch::from_beams(beams);
+        observations.partition_in_range(r_max);
+        observations
+    }
+
     #[test]
     fn construction_validates_the_configuration() {
         let map = arena();
@@ -880,9 +786,9 @@ mod tests {
     fn update_before_initialization_is_an_error() {
         let map = arena();
         let mut mcl = MonteCarloLocalization::<f32, _>::new(config(64), edt(&map)).unwrap();
-        assert_eq!(mcl.update(&[]).unwrap_err(), MclError::NotInitialized);
         assert_eq!(
-            mcl.update_batch(&BeamBatch::default()).unwrap_err(),
+            mcl.update_observations(&ObservationBatch::new())
+                .unwrap_err(),
             MclError::NotInitialized
         );
     }
@@ -892,16 +798,23 @@ mod tests {
         let map = arena();
         let mut mcl = MonteCarloLocalization::<f32, _>::new(config(128), edt(&map)).unwrap();
         mcl.initialize_uniform(&map, 1).unwrap();
+        let empty = ObservationBatch::new();
         // No motion at all: skipped.
-        assert_eq!(mcl.update(&[]).unwrap(), UpdateOutcome::Skipped);
+        assert_eq!(
+            mcl.update_observations(&empty).unwrap(),
+            UpdateOutcome::Skipped
+        );
         // Small motion below both gates: still skipped.
         mcl.predict(MotionDelta::new(0.04, 0.0, 0.02));
         assert!(!mcl.gate_open());
-        assert_eq!(mcl.update(&[]).unwrap(), UpdateOutcome::Skipped);
+        assert_eq!(
+            mcl.update_observations(&empty).unwrap(),
+            UpdateOutcome::Skipped
+        );
         // Enough translation: applied.
         mcl.predict(MotionDelta::new(0.07, 0.0, 0.0));
         assert!(mcl.gate_open());
-        assert!(mcl.update(&[]).unwrap().is_applied());
+        assert!(mcl.update_observations(&empty).unwrap().is_applied());
         // The pending motion is consumed by the applied update.
         assert!(mcl.pending_motion().is_zero());
         let counters = mcl.counters();
@@ -917,7 +830,10 @@ mod tests {
         mcl.initialize_uniform(&map, 1).unwrap();
         mcl.predict(MotionDelta::new(0.0, 0.0, 0.15));
         assert!(mcl.gate_open());
-        assert!(mcl.update(&[]).unwrap().is_applied());
+        assert!(mcl
+            .update_observations(&ObservationBatch::new())
+            .unwrap()
+            .is_applied());
     }
 
     #[test]
@@ -937,49 +853,19 @@ mod tests {
             let beams = rig.observe(&map, &truth, step as f64 / 15.0, &mut rng);
             via_beams.predict(delta);
             via_batch.predict(delta);
-            let a = via_beams.update(&beams).unwrap();
+            // Partitioned (branch-free prefix) vs unpartitioned (per-beam
+            // range test) beam blocks score bit-identically.
+            let a = via_beams
+                .update_observations(&beam_only(&beams, via_beams.config().r_max))
+                .unwrap();
             let b = via_batch
-                .update_batch(&BeamBatch::from_beams(&beams))
+                .update_observations(&ObservationBatch::from_beams(&beams))
                 .unwrap();
             assert_eq!(a, b);
         }
         assert_eq!(
             via_beams.particles().current(),
             via_batch.particles().current()
-        );
-    }
-
-    #[test]
-    fn beam_only_observation_batch_matches_the_deprecated_shim_exactly() {
-        // The redesigned entry point with an anchor-free batch must replay
-        // the exact floating-point sequence of the deprecated beam-only
-        // path — this is the compatibility contract the shims promise.
-        let map = arena();
-        let mut via_shim = MonteCarloLocalization::<f32, _>::new(config(256), edt(&map)).unwrap();
-        let mut via_fused = MonteCarloLocalization::<f32, _>::new(config(256), edt(&map)).unwrap();
-        via_shim.initialize_uniform(&map, 7).unwrap();
-        via_fused.initialize_uniform(&map, 7).unwrap();
-        let rig = rig();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let mut truth = Pose2::new(1.0, 1.0, 0.0);
-        for step in 0..5 {
-            let next = truth.compose(&Pose2::new(0.12, 0.0, 0.05));
-            let delta = MotionDelta::between(&truth, &next);
-            truth = next;
-            let beams = rig.observe(&map, &truth, step as f64 / 15.0, &mut rng);
-            via_shim.predict(delta);
-            via_fused.predict(delta);
-            let a = via_shim
-                .update_batch(&BeamBatch::from_beams(&beams))
-                .unwrap();
-            let b = via_fused
-                .update_observations(&ObservationBatch::from_beams(&beams))
-                .unwrap();
-            assert_eq!(a, b);
-        }
-        assert_eq!(
-            via_shim.particles().current(),
-            via_fused.particles().current()
         );
     }
 
@@ -1064,7 +950,9 @@ mod tests {
             truth = next;
             mcl.predict(delta);
             let beams = rig.observe(&map, &truth, step as f64 / 15.0, &mut rng);
-            let _ = mcl.update(&beams).unwrap();
+            let _ = mcl
+                .update_observations(&beam_only(&beams, mcl.config().r_max))
+                .unwrap();
         }
         let estimate = mcl.estimate();
         let err = estimate.pose.translation_distance(&truth);
@@ -1107,7 +995,9 @@ mod tests {
                 t += 1.0 / 15.0;
                 mcl.predict(delta);
                 let beams = rig.observe(&map, &truth, t, &mut rng);
-                let _ = mcl.update(&beams).unwrap();
+                let _ = mcl
+                    .update_observations(&beam_only(&beams, mcl.config().r_max))
+                    .unwrap();
             }
         }
         let estimate = mcl.estimate();
@@ -1137,8 +1027,9 @@ mod tests {
             let beams = rig.observe(&map, &truth, step as f64 / 15.0, &mut rng);
             seq.predict(delta);
             par.predict(delta);
-            let _ = seq.update(&beams).unwrap();
-            let _ = par.update(&beams).unwrap();
+            let observations = beam_only(&beams, seq.config().r_max);
+            let _ = seq.update_observations(&observations).unwrap();
+            let _ = par.update_observations(&observations).unwrap();
         }
         assert_eq!(seq.particles().current(), par.particles().current());
         // The fixed-block pose reduction is bit-identical too.
@@ -1164,7 +1055,9 @@ mod tests {
             truth = next;
             mcl.predict(delta);
             let beams = rig.observe(&map, &truth, step as f64 / 15.0, &mut rng);
-            let _ = mcl.update(&beams).unwrap();
+            let _ = mcl
+                .update_observations(&beam_only(&beams, mcl.config().r_max))
+                .unwrap();
         }
         let err = mcl.estimate().pose.translation_distance(&truth);
         assert!(err < 0.35, "fp16 tracking error too large: {err}");
@@ -1180,7 +1073,7 @@ mod tests {
         let truth = Pose2::new(0.8, 0.8, 0.4);
         let beams = rig.observe(&map, &truth, 0.0, &mut rng);
         let before = mcl.estimate();
-        let after = mcl.force_update(&beams);
+        let after = mcl.force_update_observations(&beam_only(&beams, mcl.config().r_max));
         // The update ran (weights were reset, resampling happened) even though
         // the drone never moved.
         assert_eq!(mcl.counters().updates_applied, 1);
@@ -1196,11 +1089,53 @@ mod tests {
         let rig = rig();
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
         let beams = rig.observe(&map, &Pose2::new(1.0, 1.0, 0.0), 0.0, &mut rng);
-        let _ = mcl.force_update(&beams);
+        let _ = mcl.force_update_observations(&beam_only(&beams, mcl.config().r_max));
         let expected = 1.0 / 128.0;
         for p in mcl.particles().iter() {
             assert!((p.weight_f32() - expected).abs() < 1e-6);
         }
         assert!((mcl.particles().effective_sample_size() - 128.0).abs() < 0.5);
+    }
+
+    #[test]
+    fn non_finite_anchor_positions_are_skipped_on_every_backend() {
+        // A corrupt anchor *position* with a finite range must be skipped like
+        // a non-finite range: the update is identical to the same batch
+        // without that anchor, on every backend, fixed-size and adaptive.
+        let map = arena();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        let beams = rig().observe(&map, &Pose2::new(1.2, 0.9, 0.3), 0.0, &mut rng);
+        let mut clean = beam_only(&beams, config(256).r_max);
+        clean.push_anchor(AnchorRange::new(0.3, 0.3, 1.08));
+        for backend in KernelBackend::ALL {
+            for adaptive in [false, true] {
+                let mut cfg = config(256).with_kernel_backend(backend);
+                if adaptive {
+                    cfg = cfg.with_adaptive(AdaptiveConfig::enabled());
+                }
+                let run = |observations: &ObservationBatch| {
+                    let mut mcl = MonteCarloLocalization::<f32, _>::new(cfg, edt(&map)).unwrap();
+                    mcl.initialize_uniform(&map, 17).unwrap();
+                    mcl.predict(MotionDelta::new(0.12, 0.0, 0.05));
+                    let outcome = mcl.update_observations(observations).unwrap();
+                    (outcome, mcl.particles().current().clone())
+                };
+                let reference = run(&clean);
+                for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                    for corrupt in [
+                        AnchorRange::new(bad, 2.0, 1.5),
+                        AnchorRange::new(2.0, bad, 1.5),
+                    ] {
+                        let mut observations = clean.clone();
+                        observations.push_anchor(corrupt);
+                        assert_eq!(
+                            run(&observations),
+                            reference,
+                            "{backend:?} adaptive={adaptive} {corrupt:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -19,7 +19,7 @@
 use crate::particle::Particle;
 use mcl_gridmap::DistanceField;
 use mcl_num::Scalar;
-use mcl_sensor::{Beam, BeamBatch, ObservationBatch};
+use mcl_sensor::{anchor_is_usable, Beam, BeamBatch, ObservationBatch};
 
 /// The beam-end-point likelihood model of Eq. 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -298,35 +298,6 @@ impl BeamEndPointModel {
         *out = log_sum;
     }
 
-    /// Explicit-AVX2 twin of
-    /// [`BeamEndPointModel::batch_log_likelihood_lanes`] (x86-64 only): the
-    /// per-beam rotation, the truncated EDT lookup (via
-    /// [`DistanceField::distances_at_world_lanes_avx2`], which gathers on
-    /// AVX2-capable fields) and the Eq. 1 accumulation run as 8×f32
-    /// `core::arch` register ops instead of autovectorized array passes.
-    ///
-    /// Restricted to the same single-rounding IEEE ops as the scalar body in
-    /// the same order (no FMA), so every lane's score is **bit-identical** to
-    /// [`BeamEndPointModel::batch_log_likelihood`]. On a host without AVX2
-    /// this method falls back to the lane-batched twin, which upholds the
-    /// same contract.
-    #[cfg(target_arch = "x86_64")]
-    pub fn batch_log_likelihood_avx2<D: DistanceField + ?Sized>(
-        &self,
-        field: &D,
-        x: &[f32; crate::kernel::LANES],
-        y: &[f32; crate::kernel::LANES],
-        theta: &[f32; crate::kernel::LANES],
-        batch: &BeamBatch,
-        out: &mut [f32; crate::kernel::LANES],
-    ) {
-        if crate::simd::available() {
-            crate::simd::score_pose_group(self, field, x, y, theta, batch, out);
-        } else {
-            self.batch_log_likelihood_lanes(field, x, y, theta, batch, out);
-        }
-    }
-
     /// Likelihood (not log) of a full observation `z_t` for a particle at `pose`:
     /// the product of the per-beam likelihoods of Eq. 1.
     ///
@@ -379,16 +350,18 @@ impl BeamEndPointModel {
 /// p(z_i | x_t) = 1/√(2π σ_uwb²) · exp( − (|p − a_i| − z_i)² / (2 σ_uwb²) )
 /// ```
 ///
-/// Non-finite ranges (NaN or ±∞ — failed or denied measurements) are skipped
-/// with the same neutral-when-empty convention as the beam model: an
-/// observation whose anchors are all skipped contributes log-likelihood 0.0
-/// (likelihood 1), leaving the particle weight untouched.
+/// Unusable measurements — a non-finite range (NaN or ±∞: a failed or denied
+/// measurement) or a non-finite anchor position, see
+/// [`mcl_sensor::anchor_is_usable`] — are skipped with the same
+/// neutral-when-empty convention as the beam model: an observation whose
+/// anchors are all skipped contributes log-likelihood 0.0 (likelihood 1),
+/// leaving the particle weight untouched.
 ///
-/// Like [`BeamEndPointModel`], the model exists in scalar, lane-batched and
-/// explicit-AVX2 forms, all **bit-identical**: the hot body is one subtract
-/// pair, two multiplies, one add, one square root (`sqrtps` is a
-/// correctly-rounded IEEE 754 op, so the vector form matches `f32::sqrt`
-/// exactly), one subtract, and the Eq. 1 log-term — no FMA, no `hypot`.
+/// The model exists in scalar and lane-batched forms, both
+/// **bit-identical**: the hot body is one subtract pair, two multiplies, one
+/// add, one square root (correctly rounded, so a vector square root matches
+/// `f32::sqrt` exactly), one subtract, and the Eq. 1 log-term — no FMA, no
+/// `hypot`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnchorRangeModel {
     sigma_uwb: f32,
@@ -418,18 +391,12 @@ impl AnchorRangeModel {
         self.sigma_uwb
     }
 
-    /// The precomputed `−ln(√(2π) σ_uwb)` term, shared with the
-    /// explicit-SIMD scorer so both paths use the identical constant.
-    #[cfg(target_arch = "x86_64")]
-    pub(crate) fn log_normalizer(&self) -> f32 {
-        self.log_normalizer
-    }
-
     /// Log-likelihood of a single anchor range for a particle at `(x, y)`.
     ///
-    /// Returns `None` when the measurement is skipped — a range is scored
-    /// only when it is finite (the beam path's PR 3 NaN rule, extended to
-    /// the infinities a denied UWB link may report).
+    /// Returns `None` when the measurement is skipped — an anchor is scored
+    /// only when its range and position are finite (the beam path's NaN
+    /// rule, extended to the infinities a denied UWB link may report and to
+    /// corrupt anchor positions).
     pub fn range_log_likelihood(
         &self,
         x: f32,
@@ -439,11 +406,11 @@ impl AnchorRangeModel {
         self.score(x, y, anchor.anchor_x_m, anchor.anchor_y_m, anchor.range_m)
     }
 
-    /// The scored-or-skipped core: `None` marks a skipped (non-finite)
-    /// range.
+    /// The scored-or-skipped core: `None` marks a skipped (unusable)
+    /// measurement.
     #[inline(always)]
     fn score(&self, x: f32, y: f32, ax: f32, ay: f32, z: f32) -> Option<f32> {
-        if !z.is_finite() {
+        if !anchor_is_usable(ax, ay, z) {
             return None;
         }
         let dx = x - ax;
@@ -456,8 +423,8 @@ impl AnchorRangeModel {
     /// Log-likelihood of the full anchor set of `batch` for a particle at
     /// `(x, y)`: the sum of the per-anchor log-terms in anchor order.
     ///
-    /// Non-finite ranges are skipped; when every anchor is skipped (or the
-    /// batch carries none) the method returns 0.0 (likelihood 1), leaving
+    /// Unusable measurements are skipped; when every anchor is skipped (or
+    /// the batch carries none) the method returns 0.0 (likelihood 1), leaving
     /// the particle's weight untouched — the beam model's convention.
     pub fn batch_log_likelihood(&self, x: f32, y: f32, batch: &ObservationBatch) -> f32 {
         let anchor_x = batch.anchor_x_m();
@@ -497,12 +464,12 @@ impl AnchorRangeModel {
         let mut log_sum = [0.0f32; LANES];
         let mut used = 0usize;
         for (i, &z) in batch.anchor_range_m().iter().enumerate() {
-            // Same skipping predicate as the scalar path.
-            if !z.is_finite() {
-                continue;
-            }
             let ax = anchor_x[i];
             let ay = anchor_y[i];
+            // Same skipping predicate as the scalar path.
+            if !anchor_is_usable(ax, ay, z) {
+                continue;
+            }
             for l in 0..LANES {
                 let dx = x[l] - ax;
                 let dy = y[l] - ay;
@@ -518,30 +485,6 @@ impl AnchorRangeModel {
             return;
         }
         *out = log_sum;
-    }
-
-    /// Explicit-AVX2 twin of
-    /// [`AnchorRangeModel::batch_log_likelihood_lanes`] (x86-64 only): the
-    /// residual arithmetic runs as 8×f32 `core::arch` register ops.
-    /// Restricted to single-rounding IEEE ops in the scalar order —
-    /// `vsqrtps` rounds exactly like `f32::sqrt`, and no FMA is emitted —
-    /// so every lane's score is **bit-identical** to
-    /// [`AnchorRangeModel::batch_log_likelihood`]. On a host without AVX2
-    /// this method falls back to the lane-batched twin, which upholds the
-    /// same contract.
-    #[cfg(target_arch = "x86_64")]
-    pub fn batch_log_likelihood_avx2(
-        &self,
-        x: &[f32; crate::kernel::LANES],
-        y: &[f32; crate::kernel::LANES],
-        batch: &ObservationBatch,
-        out: &mut [f32; crate::kernel::LANES],
-    ) {
-        if crate::simd::available() {
-            crate::simd::score_anchor_group(self, x, y, batch, out);
-        } else {
-            self.batch_log_likelihood_lanes(x, y, batch, out);
-        }
     }
 }
 
@@ -900,10 +843,15 @@ mod tests {
 
     #[test]
     fn anchor_lane_and_avx2_paths_match_scalar_bit_for_bit() {
+        // The lane body scores every lane bit-identically to the scalar
+        // entry point; the Avx2 backend's anchor kernel runs that lane body.
+        use crate::kernel::{anchor_log_likelihoods_with, KernelBackend};
+        use crate::particle::ParticleBuffer;
         const LANES: usize = crate::kernel::LANES;
         let model = AnchorRangeModel::new(0.17);
         let mut obs = anchors_for((1.7, 2.9));
         obs.push_anchor(AnchorRange::new(2.5, 2.5, f32::NAN));
+        obs.push_anchor(AnchorRange::new(f32::NAN, 2.5, 1.0));
         let mut xs = [0.0f32; LANES];
         let mut ys = [0.0f32; LANES];
         for l in 0..LANES {
@@ -914,15 +862,22 @@ mod tests {
         model.batch_log_likelihood_lanes(&xs, &ys, &obs, &mut lane_out);
         for l in 0..LANES {
             let scalar = model.batch_log_likelihood(xs[l], ys[l], &obs);
+            assert!(scalar.is_finite(), "lane {l}");
             assert_eq!(lane_out[l].to_bits(), scalar.to_bits(), "lane {l}");
         }
-        #[cfg(target_arch = "x86_64")]
-        {
-            let mut avx_out = [0.0f32; LANES];
-            model.batch_log_likelihood_avx2(&xs, &ys, &obs, &mut avx_out);
-            for l in 0..LANES {
-                assert_eq!(avx_out[l].to_bits(), lane_out[l].to_bits(), "avx lane {l}");
-            }
+        let particles: ParticleBuffer<f32> = (0..LANES)
+            .map(|l| Particle::from_pose(&Pose2::new(xs[l], ys[l], 0.0), 1.0))
+            .collect();
+        let mut avx_out = [0.0f32; LANES];
+        anchor_log_likelihoods_with(
+            KernelBackend::Avx2,
+            particles.as_slice(),
+            &model,
+            &obs,
+            &mut avx_out,
+        );
+        for l in 0..LANES {
+            assert_eq!(avx_out[l].to_bits(), lane_out[l].to_bits(), "avx lane {l}");
         }
     }
 }

@@ -565,15 +565,6 @@ impl WorkerPool {
             resume_unwind(payload);
         }
     }
-
-    /// Alias of [`WorkerPool::dispatch_limited`], kept from the single-slot
-    /// scheduler's API. Under the work-stealing scheduler an independent
-    /// dispatch never has to wait for (or yield to) another one — every
-    /// dispatch runs concurrently with whatever else is in flight — so the
-    /// queued and the plain entry point coincide.
-    pub fn dispatch_queued(&self, tasks: usize, max_workers: usize, task: &(dyn Fn(usize) + Sync)) {
-        self.dispatch_limited(tasks, max_workers, task);
-    }
 }
 
 impl Drop for WorkerPool {
@@ -883,20 +874,20 @@ mod tests {
 
     #[test]
     fn queued_dispatch_is_equivalent_and_completes_fully() {
-        // `dispatch_queued` survives as an alias: two concurrent callers both
-        // complete with full coverage (they now genuinely share the pool).
+        // Two concurrent callers both complete with full coverage: they
+        // share the pool.
         let pool = WorkerPool::new(4);
         let first = AtomicUsize::new(0);
         let second = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                pool.dispatch_queued(32, usize::MAX, &|_| {
+                pool.dispatch_limited(32, usize::MAX, &|_| {
                     std::thread::sleep(std::time::Duration::from_micros(100));
                     first.fetch_add(1, Ordering::Relaxed);
                 });
             });
             scope.spawn(|| {
-                pool.dispatch_queued(32, usize::MAX, &|_| {
+                pool.dispatch_limited(32, usize::MAX, &|_| {
                     std::thread::sleep(std::time::Duration::from_micros(100));
                     second.fetch_add(1, Ordering::Relaxed);
                 });
@@ -911,7 +902,7 @@ mod tests {
         let pool = WorkerPool::new(4);
         let inner_total = AtomicU64::new(0);
         pool.dispatch(4, &|_| {
-            pool.dispatch_queued(8, usize::MAX, &|j| {
+            pool.dispatch_limited(8, usize::MAX, &|j| {
                 inner_total.fetch_add(j as u64, Ordering::Relaxed);
             });
         });

@@ -1,42 +1,42 @@
-//! Explicit AVX2 lane bodies for the [`KernelBackend::Avx2`] kernels
+//! The explicit AVX2 body of the [`KernelBackend::Avx2`] observation kernel
 //! (x86-64 only).
 //!
 //! [`crate::kernel`]: the `Lanes` backend *shapes* its loops for
 //! autovectorization; this module is the explicit-SIMD counterpart that issues
-//! `core::arch::x86_64` intrinsics directly, so the hot bodies run 8×f32 wide
-//! regardless of what the autovectorizer decides at the build's baseline
-//! target. Everything here is runtime-gated: callers check [`available`]
-//! before entering an AVX2 body and fall back to the lane kernels otherwise,
-//! which keeps non-AVX2 hosts (and non-x86 builds, where this module does not
-//! exist) on the portable path with identical results.
+//! `core::arch::x86_64` intrinsics directly, so the beam-scoring loop runs
+//! 8×f32 wide regardless of what the autovectorizer decides at the build's
+//! baseline target. It is the only kernel where explicit SIMD measurably pays
+//! over the lane body (see the kernel module's body table). Everything here
+//! is runtime-gated: the kernel checks [`available`] before entering the AVX2
+//! body and runs the lane body otherwise, which keeps non-AVX2 hosts (and
+//! non-x86 builds, where this module does not exist) on the portable path
+//! with identical results.
 //!
 //! # Bit-identity contract
 //!
-//! Every function is restricted to the same single-rounding IEEE 754 ops the
+//! The body is restricted to the same single-rounding IEEE 754 ops the
 //! scalar kernel performs per particle, in the same order — add, subtract,
-//! multiply, divide, min, exact widening — and **never uses FMA**: a fused
-//! multiply-add rounds once where the scalar body rounds twice, which would
-//! break the backend bit-identity contract pinned by
-//! `tests/kernel_backend_equivalence.rs`. Ops whose zero/NaN tie-breaking is
-//! implementation-ambiguous in scalar Rust (`f32::max` weight clamping, the
-//! branching angular difference, `exp`, `sin_cos`) stay scalar per lane, so
-//! the AVX2 kernels cannot diverge even on those edge cases.
+//! multiply, divide, min — and **never uses FMA**: a fused multiply-add
+//! rounds once where the scalar body rounds twice, which would break the
+//! backend bit-identity contract pinned by
+//! `tests/kernel_backend_equivalence.rs`. The yaw `sin_cos` stays scalar per
+//! lane (a libm call), so the AVX2 kernel cannot diverge on it.
 
 // Intrinsics require `unsafe`; this is the one module in the crate allowed to
 // use it. Every unsafe block carries a SAFETY comment discharging the single
-// obligation: the AVX2 (and where noted F16C-independent) target features are
-// runtime-checked by `available` before any `#[target_feature]` body runs.
+// obligation: the AVX2 target feature is runtime-checked by `available`
+// before the `#[target_feature]` body runs.
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::*;
 
 use crate::kernel::LANES;
-use crate::observation::{AnchorRangeModel, BeamEndPointModel};
+use crate::observation::BeamEndPointModel;
 use mcl_gridmap::DistanceField;
-use mcl_sensor::{BeamBatch, ObservationBatch};
+use mcl_sensor::BeamBatch;
 
 // The lane kernels and the 256-bit registers must agree on the group width.
-const _: () = assert!(LANES == 8, "AVX2 bodies assume 8 f32 lanes");
+const _: () = assert!(LANES == 8, "the AVX2 body assumes 8 f32 lanes");
 
 /// Runtime probe for the explicit AVX2 bodies. The result is cached by the
 /// standard library's feature detection, so per-dispatch checks are a single
@@ -46,7 +46,7 @@ pub(crate) fn available() -> bool {
 }
 
 /// Scores one [`LANES`]-wide group of particle poses against a beam batch —
-/// the AVX2 body of `observation_log_likelihoods_avx2`, bit-identical to
+/// the AVX2 group scorer of `observation_log_likelihoods_with`, bit-identical to
 /// [`BeamEndPointModel::batch_log_likelihood`] per lane.
 ///
 /// The yaw `sin_cos` stays scalar per lane (libm call); the per-beam rotation,
@@ -192,141 +192,4 @@ unsafe fn score_beams<D: DistanceField + ?Sized>(
     }
     _mm256_storeu_ps(out.as_mut_ptr(), log_sum);
     used
-}
-
-/// Scores one [`LANES`]-wide group of particle positions against the anchor
-/// set of `batch` — the AVX2 body of `anchor_log_likelihoods_avx2`,
-/// bit-identical to [`AnchorRangeModel::batch_log_likelihood`] per lane.
-///
-/// The residual arithmetic (subtract pair, squared norm, square root,
-/// range residual, Eq. 1 log-term) runs as 8-wide register ops; `vsqrtps`
-/// is a correctly-rounded IEEE 754 op, so it matches `f32::sqrt` exactly,
-/// and no FMA is emitted.
-pub(crate) fn score_anchor_group(
-    model: &AnchorRangeModel,
-    x: &[f32; LANES],
-    y: &[f32; LANES],
-    batch: &ObservationBatch,
-    out: &mut [f32; LANES],
-) {
-    debug_assert!(available());
-    // Same constant expression the scalar body folds out of `2.0 · σ · σ`:
-    // identical expression, identical roundings.
-    let denom = 2.0 * model.sigma_uwb() * model.sigma_uwb();
-    // SAFETY: `available` was checked by the caller (debug-asserted above),
-    // so the AVX2 target feature is present.
-    let used = unsafe {
-        score_anchors(
-            batch.anchor_x_m(),
-            batch.anchor_y_m(),
-            batch.anchor_range_m(),
-            model.log_normalizer(),
-            denom,
-            x,
-            y,
-            out,
-        )
-    };
-    if used == 0 {
-        *out = [0.0; LANES];
-    }
-}
-
-/// The register-resident anchor loop of [`score_anchor_group`]. Non-finite
-/// ranges are skipped with the scalar predicate; returns the number of
-/// anchors scored.
-///
-/// # Safety
-///
-/// Callers must ensure the `avx2` target feature is available.
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)] // the full lane-group register set
-unsafe fn score_anchors(
-    anchor_x: &[f32],
-    anchor_y: &[f32],
-    ranges: &[f32],
-    log_normalizer: f32,
-    denom: f32,
-    x: &[f32; LANES],
-    y: &[f32; LANES],
-    out: &mut [f32; LANES],
-) -> usize {
-    let x_v = _mm256_loadu_ps(x.as_ptr());
-    let y_v = _mm256_loadu_ps(y.as_ptr());
-    let norm_v = _mm256_set1_ps(log_normalizer);
-    let denom_v = _mm256_set1_ps(denom);
-    let mut log_sum = _mm256_setzero_ps();
-    let mut used = 0usize;
-    for i in 0..ranges.len() {
-        // The scalar path's skipping predicate, verbatim.
-        let z = ranges[i];
-        if !z.is_finite() {
-            continue;
-        }
-        let ax = _mm256_set1_ps(anchor_x[i]);
-        let ay = _mm256_set1_ps(anchor_y[i]);
-        // dx = x − ax, dy = y − ay, dist = √(dx·dx + dy·dy), r = dist − z,
-        // with the scalar body's association and one rounding per op.
-        let dx = _mm256_sub_ps(x_v, ax);
-        let dy = _mm256_sub_ps(y_v, ay);
-        let dist = _mm256_sqrt_ps(_mm256_add_ps(_mm256_mul_ps(dx, dx), _mm256_mul_ps(dy, dy)));
-        let r = _mm256_sub_ps(dist, _mm256_set1_ps(z));
-        // log_normalizer − r² / denom, accumulated in anchor order per lane.
-        let term = _mm256_sub_ps(norm_v, _mm256_div_ps(_mm256_mul_ps(r, r), denom_v));
-        log_sum = _mm256_add_ps(log_sum, term);
-        used += 1;
-    }
-    _mm256_storeu_ps(out.as_mut_ptr(), log_sum);
-    used
-}
-
-/// The vectorizable half of the reweight body: `out[l] = lg[l] − max_log`,
-/// the exponent inputs of one lane group. The `exp` itself stays a scalar
-/// libm call per lane (as in the `Lanes` backend), so the results are
-/// bit-identical to the scalar kernel.
-pub(crate) fn exp_inputs(lg: &[f32; LANES], max_log: f32, out: &mut [f32; LANES]) {
-    debug_assert!(available());
-    // SAFETY: callers gate on `available`.
-    unsafe { exp_inputs_impl(lg, max_log, out) }
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn exp_inputs_impl(lg: &[f32; LANES], max_log: f32, out: &mut [f32; LANES]) {
-    let v = _mm256_sub_ps(_mm256_loadu_ps(lg.as_ptr()), _mm256_set1_ps(max_log));
-    _mm256_storeu_ps(out.as_mut_ptr(), v);
-}
-
-/// Exact f32 → f64 widening of one lane group (`_mm256_cvtps_pd` on each
-/// 128-bit half) — the pose reduction's widen pass.
-pub(crate) fn widen(values: &[f32; LANES], out: &mut [f64; LANES]) {
-    debug_assert!(available());
-    // SAFETY: callers gate on `available`.
-    unsafe { widen_impl(values, out) }
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn widen_impl(values: &[f32; LANES], out: &mut [f64; LANES]) {
-    let v = _mm256_loadu_ps(values.as_ptr());
-    let lo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
-    let hi = _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v));
-    _mm256_storeu_pd(out.as_mut_ptr(), lo);
-    _mm256_storeu_pd(out[4..].as_mut_ptr(), hi);
-}
-
-/// Deviation-and-widen pass of the spread reduction:
-/// `out[l] = f64::from(values[l] − mean)` — one single-rounding f32 subtract
-/// (matching the scalar body exactly) followed by the exact widening.
-pub(crate) fn widen_deviation(values: &[f32; LANES], mean: f32, out: &mut [f64; LANES]) {
-    debug_assert!(available());
-    // SAFETY: callers gate on `available`.
-    unsafe { widen_deviation_impl(values, mean, out) }
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn widen_deviation_impl(values: &[f32; LANES], mean: f32, out: &mut [f64; LANES]) {
-    let v = _mm256_sub_ps(_mm256_loadu_ps(values.as_ptr()), _mm256_set1_ps(mean));
-    let lo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
-    let hi = _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v));
-    _mm256_storeu_pd(out.as_mut_ptr(), lo);
-    _mm256_storeu_pd(out[4..].as_mut_ptr(), hi);
 }

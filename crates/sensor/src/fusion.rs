@@ -20,6 +20,18 @@ use crate::batch::BeamBatch;
 use crate::measurement::Beam;
 use serde::{Deserialize, Serialize};
 
+/// Whether an anchor measurement is usable: its anchor position and its
+/// measured range are all finite. This is the one skipping predicate every
+/// anchor consumer applies — [`AnchorRange::is_usable`],
+/// [`ObservationBatch::usable_anchor_count`] and the range model's scalar and
+/// lane-batched scorers — so a corrupt anchor is skipped, never scored: a
+/// NaN or ±∞ position with a finite range would otherwise score every
+/// particle NaN or −∞ and collapse the weights.
+#[inline]
+pub fn anchor_is_usable(anchor_x_m: f32, anchor_y_m: f32, range_m: f32) -> bool {
+    anchor_x_m.is_finite() && anchor_y_m.is_finite() && range_m.is_finite()
+}
+
 /// One UWB anchor-range measurement: the anchor's fixed world position and
 /// the range measured to it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -30,7 +42,8 @@ pub struct AnchorRange {
     pub anchor_y_m: f32,
     /// Measured range from the drone to the anchor, metres. Non-finite
     /// values mark a failed/denied measurement and are skipped by every
-    /// consumer (the PR 3 NaN rule the beam path applies).
+    /// consumer (the NaN rule the beam path applies), as is an anchor with a
+    /// non-finite position (see [`anchor_is_usable`]).
     pub range_m: f32,
 }
 
@@ -44,9 +57,10 @@ impl AnchorRange {
         }
     }
 
-    /// Whether the measurement is usable (finite range).
+    /// Whether the measurement is usable (finite position and range, see
+    /// [`anchor_is_usable`]).
     pub fn is_usable(&self) -> bool {
-        self.range_m.is_finite()
+        anchor_is_usable(self.anchor_x_m, self.anchor_y_m, self.range_m)
     }
 }
 
@@ -82,8 +96,9 @@ impl ObservationBatch {
         Self::from_beam_batch(BeamBatch::from_beams(beams))
     }
 
-    /// Appends one anchor-range measurement. Non-finite ranges may be pushed
-    /// (a transport may deliver them); every scorer skips them.
+    /// Appends one anchor-range measurement. Unusable measurements (a
+    /// non-finite range or position) may be pushed — a transport may deliver
+    /// them — and every scorer skips them.
     pub fn push_anchor(&mut self, anchor: AnchorRange) {
         self.anchor_x_m.push(anchor.anchor_x_m);
         self.anchor_y_m.push(anchor.anchor_y_m);
@@ -127,8 +142,8 @@ impl ObservationBatch {
         &self.anchor_y_m
     }
 
-    /// Measured anchor ranges, metres (non-finite entries are skipped by
-    /// every scorer).
+    /// Measured anchor ranges, metres (unusable entries are skipped by every
+    /// scorer, see [`anchor_is_usable`]).
     pub fn anchor_range_m(&self) -> &[f32] {
         &self.anchor_range_m
     }
@@ -145,10 +160,18 @@ impl ObservationBatch {
         !self.anchor_range_m.is_empty()
     }
 
-    /// Number of anchor measurements with a finite (usable) range — the
-    /// anchors the range model will actually score.
+    /// Number of usable anchor measurements (see [`anchor_is_usable`]) —
+    /// the anchors the range model will actually score.
     pub fn usable_anchor_count(&self) -> usize {
-        self.anchor_range_m.iter().filter(|z| z.is_finite()).count()
+        (0..self.anchor_count())
+            .filter(|&i| {
+                anchor_is_usable(
+                    self.anchor_x_m[i],
+                    self.anchor_y_m[i],
+                    self.anchor_range_m[i],
+                )
+            })
+            .count()
     }
 
     /// The `i`-th anchor measurement.
@@ -233,5 +256,19 @@ mod tests {
             assert!(!AnchorRange::new(0.0, 0.0, bad).is_usable());
         }
         assert!(AnchorRange::new(0.0, 0.0, 0.0).is_usable());
+    }
+
+    #[test]
+    fn non_finite_anchor_positions_are_flagged_unusable() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert!(!AnchorRange::new(bad, 1.0, 2.0).is_usable());
+            assert!(!AnchorRange::new(1.0, bad, 2.0).is_usable());
+        }
+        let obs = ObservationBatch::new().with_anchors(&[
+            AnchorRange::new(f32::NAN, 1.0, 2.0),
+            AnchorRange::new(1.0, f32::INFINITY, 2.0),
+            AnchorRange::new(1.0, 1.0, 2.0),
+        ]);
+        assert_eq!(obs.usable_anchor_count(), 1);
     }
 }

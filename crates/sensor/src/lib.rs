@@ -53,7 +53,7 @@ pub mod zones;
 
 pub use batch::BeamBatch;
 pub use config::{SensorConfig, ZoneMode, SENSOR_POWER_MW};
-pub use fusion::{AnchorRange, ObservationBatch};
+pub use fusion::{anchor_is_usable, AnchorRange, ObservationBatch};
 pub use measurement::{Beam, TargetStatus, ToFFrame, ZoneMeasurement};
 pub use model::ToFSensor;
 pub use raycast::raycast_distance;

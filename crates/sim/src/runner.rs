@@ -303,10 +303,6 @@ pub fn run_sequence<S: Scalar, D: DistanceField>(
 
 #[cfg(test)]
 mod tests {
-    // `traffic_replay_is_bit_identical_to_run_sequence` deliberately replays
-    // through the deprecated beam-only shim to pin its equivalence.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::sequence::{SequenceConfig, SequenceGenerator};
     use crate::trajectory::TrajectoryConfig;
@@ -389,7 +385,9 @@ mod tests {
             let frame_limit = runner.sensor_count.min(step.frames.len());
             let mut batch = BeamBatch::from_frames(&step.frames[..frame_limit]);
             batch.partition_in_range(reference.config().r_max);
-            let outcome = reference.update_batch(&batch).unwrap();
+            let outcome = reference
+                .update_observations(&ObservationBatch::from_beam_batch(batch))
+                .unwrap();
             expected.push(match outcome.estimate() {
                 Some(estimate) => *estimate,
                 None => reference.estimate(),
@@ -405,7 +403,9 @@ mod tests {
             replica.predict(step.delta);
             let mut batch = BeamBatch::from_beams(&step.beams);
             batch.partition_in_range(replica.config().r_max);
-            let outcome = replica.update_batch(&batch).unwrap();
+            let outcome = replica
+                .update_observations(&ObservationBatch::from_beam_batch(batch))
+                .unwrap();
             let estimate = match outcome.estimate() {
                 Some(estimate) => *estimate,
                 None => replica.estimate(),
@@ -437,7 +437,7 @@ mod tests {
     fn tof_only_replay_is_bit_identical_to_the_pre_fusion_path() {
         // The default (ToF-only) runner must replay the exact floating-point
         // sequence the pre-redesign runner produced — pinned here against an
-        // inline replica of the old update_batch loop.
+        // inline replica of the old beam-only loop.
         let (maze, sequence) = scenario();
         let config = MclConfig::default().with_particles(256).with_seed(9);
         let runner = RunnerConfig::default();
@@ -451,7 +451,9 @@ mod tests {
             let frame_limit = runner.sensor_count.min(step.frames.len());
             let mut batch = BeamBatch::from_frames(&step.frames[..frame_limit]);
             batch.partition_in_range(old_style.config().r_max);
-            let outcome = old_style.update_batch(&batch).unwrap();
+            let outcome = old_style
+                .update_observations(&ObservationBatch::from_beam_batch(batch))
+                .unwrap();
             expected.push(match outcome.estimate() {
                 Some(estimate) => *estimate,
                 None => old_style.estimate(),

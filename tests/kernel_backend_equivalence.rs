@@ -315,7 +315,7 @@ fn all_five_kernels_are_bit_identical_across_every_tail_length_and_layout() {
 /// and returns the particle buffer and final estimate. A non-empty `anchors`
 /// slice turns every update into a fused ToF + UWB batch scored through the
 /// anchor-range kernel; an empty slice runs the exact beam-only sequence the
-/// deprecated shims pin.
+/// golden trace pins.
 #[allow(clippy::too_many_arguments)]
 fn run_filter<S: Scalar, D: tof_mcl::gridmap::DistanceField + Clone>(
     map: &OccupancyGrid,
