@@ -1,14 +1,14 @@
-//! Scheduler-level benchmarks of the work-stealing dispatch layer.
+//! Scheduler-level benchmarks of the pool's dispatch layer.
 //!
 //! Two groups:
 //!
-//! * `contended_dispatch` — the headline of the multi-queue refactor: two
+//! * `contended_dispatch` — the headline of concurrent dispatch: two
 //!   `run_batch` sweeps executed **concurrently** from two threads versus the
 //!   same two sweeps executed back to back (the behaviour the single-slot
 //!   scheduler's `dispatch_queued` forced on every contending study). Each
 //!   sweep holds fewer jobs than the pool has workers, so under the old
-//!   scheduler the surplus workers idled twice over; work stealing lets the
-//!   two sweeps interleave across all workers and lets each job's nested
+//!   scheduler the surplus workers idled twice over; the shared job queue lets
+//!   the two sweeps interleave across all workers and lets each job's nested
 //!   kernel dispatches soak up the rest. The aggregate-throughput ratio
 //!   (serialized time / concurrent time) is the ≥1.5× acceptance number on a
 //!   multi-core 8-worker runner — on a single-core host both variants
@@ -61,9 +61,8 @@ fn bench_contended_dispatch(c: &mut Criterion) {
             })
         },
     );
-    // The same two sweeps dispatched simultaneously from two threads: under
-    // the work-stealing scheduler their jobs (and the jobs' nested kernel
-    // dispatches) share the pool's workers.
+    // The same two sweeps dispatched simultaneously from two threads: their
+    // jobs (and the jobs' nested kernel dispatches) share the pool's workers.
     group.bench_with_input(
         BenchmarkId::new("concurrent", "2x2jobs"),
         &scenario,

@@ -1,8 +1,8 @@
 //! Host micro-benchmark of the motion (prediction) step: the seed's
 //! array-of-structs `MotionModel::apply` loop vs. the SoA
 //! [`mcl_core::kernel::motion_predict`] kernel on 1 and 8 workers, plus the
-//! `motion_dispatch` spawn-vs-pool group comparing the persistent worker pool
-//! against the scoped-spawn reference on identical chunk geometry.
+//! `motion_dispatch` group timing the kernel dispatched on the persistent
+//! worker pool.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcl_core::kernel;
@@ -61,10 +61,9 @@ fn bench_motion(c: &mut Criterion) {
     }
     kernel_group.finish();
 
-    // Spawn-vs-pool: the same motion kernel over the same chunks, executed on
-    // the persistent shared pool vs. fresh scoped threads per dispatch. At one
-    // worker both run inline on the caller (the pool must be no slower); at
-    // eight the pool removes the per-dispatch thread spawn from the hot path.
+    // The motion kernel dispatched on the persistent shared pool, with the
+    // per-dispatch batch clone outside the timed region. At one worker the
+    // dispatch runs inline on the caller; at eight it fans out to the pool.
     let mut dispatch_group = c.benchmark_group("motion_dispatch");
     dispatch_group.sample_size(30);
     let soa: ParticleBuffer<f32> = particles(4096).into_iter().collect();
@@ -78,22 +77,6 @@ fn bench_motion(c: &mut Criterion) {
                     || soa.clone(),
                     |mut batch| {
                         cluster.for_each_split(batch.as_mut_slice(), |start, chunk| {
-                            kernel::motion_predict(chunk, &model, &delta, 7, 3, start as u64);
-                        });
-                        batch
-                    },
-                    criterion::BatchSize::LargeInput,
-                )
-            },
-        );
-        dispatch_group.bench_with_input(
-            BenchmarkId::new(format!("scoped_spawn_{workers}w"), 4096usize),
-            &soa,
-            |b, soa| {
-                b.iter_batched(
-                    || soa.clone(),
-                    |mut batch| {
-                        cluster.for_each_split_scoped(batch.as_mut_slice(), |start, chunk| {
                             kernel::motion_predict(chunk, &model, &delta, 7, 3, start as u64);
                         });
                         batch

@@ -19,7 +19,7 @@
 //! A handful of drones are actually run that way and the mean is projected
 //! to N. The fleet amortizes that fixed cost across all hosted filters and
 //! — on multi-core hosts — dispatches the coalesced batches across the
-//! work-stealing pool, which is where the headline speedup comes from. On a
+//! shared worker pool, which is where the headline speedup comes from. On a
 //! single-core host the parallel term vanishes and `speedup_vs_naive` lands
 //! near the amortization floor (~1.7× measured on the 1-core dev box); the
 //! JSON also archives `speedup_compute_only` against a naive run that

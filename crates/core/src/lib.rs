@@ -34,9 +34,9 @@
 //! cores — and the counter-based RNG ([`rng::CounterRng`]) keys every random
 //! draw on `(seed, update, particle index)`, so the filter state is
 //! bit-identical for every worker count. The workers themselves live in a
-//! persistent work-stealing [`pool::WorkerPool`] ([`pool::shared`]): resident
-//! threads park between dispatches and claim kernel invocations off per-worker
-//! Chase–Lev deques, mirroring the resident GAP9 cluster instead of spawning
+//! persistent [`pool::WorkerPool`] ([`pool::shared`]): resident threads park
+//! between dispatches and claim kernel invocations from jobs they pop off one
+//! shared FIFO queue, mirroring the resident GAP9 cluster instead of spawning
 //! OS threads per update — and, beyond the single-chip paper setup, letting
 //! many independent filter instances dispatch concurrently onto one pool.
 //!

@@ -1,4 +1,4 @@
-//! Work-stealing multi-queue scheduler backing the cluster dispatch.
+//! Shared job-queue scheduler backing the cluster dispatch.
 //!
 //! The paper's GAP9 deployment keeps the 8 compute-cluster cores **resident**:
 //! the orchestrating core hands each MCL kernel to the already-running workers
@@ -11,31 +11,31 @@
 //! instances) needs independent top-level dispatches to *share* the worker
 //! threads instead of racing for a slot.
 //!
-//! [`WorkerPool`] is therefore a **work-stealing multi-queue scheduler**,
-//! hand-rolled on std atomics only (no extra dependencies):
+//! [`WorkerPool`] is therefore a pool of resident threads fed by **one FIFO
+//! job queue**, built on std synchronization only (no extra dependencies):
 //!
-//! * **Per-worker Chase–Lev deques.** Every resident worker owns a
-//!   fixed-capacity Chase–Lev-style deque ([Chase & Lev 2005], with the
-//!   explicit fences of Lê et al.'s weak-memory formulation): the owner
-//!   pushes and pops jobs LIFO at the bottom, thieves steal FIFO from the
-//!   top over a CAS. Dispatches from threads outside the pool land in a
-//!   shared **injector** queue instead.
+//! * **One locked queue.** Every dispatch — from an outside thread or from a
+//!   resident worker — pushes its job advertisement onto a single
+//!   `VecDeque` guarded by the scheduler mutex, the same lock that tracks
+//!   parked workers and shutdown. Publishing, popping and parking all happen
+//!   under that one lock, so no wakeup can be lost between a worker finding
+//!   the queue empty and going to sleep.
 //! * **Jobs are batched task ranges.** A dispatch publishes one *job* —
 //!   `tasks` closures indexed `0..tasks` behind an atomic claim cursor — as a
-//!   single deque entry, not `tasks` entries. Whoever holds a handle to the
-//!   job (the dispatcher, plus every worker that popped or stole its
-//!   advertisement) claims indices off the shared cursor, so a job spreads
-//!   across idle workers while queue traffic stays O(workers), not O(tasks).
-//!   A worker that joins a job with unclaimed work left re-advertises it on
-//!   its own deque, fanning the job out to further thieves.
+//!   single queue entry, not `tasks` entries. Whoever holds a handle to the
+//!   job (the dispatcher, plus every worker that popped its advertisement)
+//!   claims indices off the shared cursor, so a job spreads across idle
+//!   workers while queue traffic stays O(workers), not O(tasks). A worker
+//!   that joins a job with unclaimed work left re-advertises it, fanning the
+//!   job out to further idle workers.
 //! * **Concurrent independent dispatches.** There is no job slot: any number
 //!   of dispatches can be in flight, each draining its own cursor while idle
-//!   workers steal whatever is advertised. Two simultaneous `run_batch`
+//!   workers pick up whatever is advertised. Two simultaneous `run_batch`
 //!   sweeps split the workers between them instead of serializing.
 //! * **Nested dispatch enqueues.** A dispatch made from inside a pool task
-//!   (e.g. a filter's kernel dispatch inside a `run_batch` job) pushes its
-//!   job onto the *submitting worker's own deque* and participates in it like
-//!   any dispatcher. Idle workers steal the nested tasks, so kernel-level
+//!   (e.g. a filter's kernel dispatch inside a `run_batch` job) is advertised
+//!   on the same queue, and the submitting worker participates in it like
+//!   any dispatcher. Idle workers pick up the nested tasks, so kernel-level
 //!   parallelism is available *inside* concurrent jobs — the single-slot
 //!   design always ran these inline. Deadlock freedom is preserved by
 //!   construction: every dispatcher drains its own cursor until exhaustion
@@ -56,22 +56,22 @@
 //!
 //! The scheduler never influences *what* is computed — only *where*. Task
 //! bodies receive their global task index, the cluster dispatchers cut chunks
-//! at the same boundaries regardless of backend, and every random draw in the
+//! at boundaries fixed before execution, and every random draw in the
 //! kernels is keyed on `(seed, update, particle index)`. Which OS thread (or
-//! how many, or in what steal order) executes a task is therefore
-//! unobservable in the results; `tests/pool_determinism.rs` pins scheduled
-//! execution bit-identical to the scoped-spawn reference and to sequential
-//! execution, and `tests/concurrent_dispatch.rs` pins simultaneous
-//! independent dispatches bit-identical to their serial executions.
+//! how many, or in what order) executes a task is therefore unobservable in
+//! the results; `tests/pool_determinism.rs` pins scheduled execution
+//! bit-identical to the sequential definition of every entry point, and
+//! `tests/concurrent_dispatch.rs` pins simultaneous independent dispatches
+//! bit-identical to their serial executions.
 //!
 //! # Introspection
 //!
 //! [`WorkerPool::stats`] (and [`stats`] for the shared pool) snapshots cheap
 //! relaxed per-worker counters: tasks executed per resident worker, how many
-//! of those were stolen (claimed from a job discovered on another worker's
-//! deque or the injector), plus the same pair for non-resident participants.
-//! The contention tests assert the steal counters are non-zero, proving the
-//! stealing path is actually exercised.
+//! of those were stolen (claimed from a job the worker popped off the queue,
+//! i.e. one some other participant dispatched), plus the same pair for
+//! non-resident participants. The contention tests assert the steal counters
+//! are non-zero, proving idle workers actually join published jobs.
 //!
 //! # The shared pool
 //!
@@ -81,39 +81,24 @@
 //! overridable via `MCL_POOL_WORKERS` (production sizing) and
 //! `MCL_TEST_WORKERS` (test-matrix override, takes precedence; the CI matrix
 //! uses it to exercise real 1/3/8-thread pools regardless of runner size).
-//!
-//! [Chase & Lev 2005]: https://doi.org/10.1145/1073970.1073974
 
-// Two uses of unsafe, both confined to this module (the crate otherwise
-// forbids unsafe code):
-// * The job hand-off erases the task closure's borrow lifetime so other
-//   threads can reference it; the dispatch latch (dispatch blocks until every
-//   task completed) is what makes that sound.
-// * The Chase–Lev deque slots are read with `ptr::read`-style unchecked reads
-//   whose ownership is decided by the subsequent CAS on `top` — the loser
-//   forgets the value it read (never drops it), the standard treatment of the
-//   algorithm's benign slot race.
+// The one use of unsafe, confined to this module (the crate otherwise
+// forbids unsafe code): the job hand-off erases the task closure's borrow
+// lifetime so other threads can reference it; the dispatch latch (dispatch
+// blocks until every task completed) is what makes that sound.
 #![allow(unsafe_code)]
 
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{fence, AtomicIsize, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
-/// Capacity of one worker's Chase–Lev deque. Entries are *job* handles (one
-/// per in-flight dispatch advertisement, not one per task), so the realistic
-/// population is the dispatch nesting depth plus a few stale advertisements —
-/// overflow falls back to the injector and loses nothing but locality.
-const DEQUE_CAPACITY: usize = 64;
-
 thread_local! {
-    /// `(pool identity, deque index)` of the resident worker running on this
-    /// thread, if any. Routes nested dispatches onto the local deque and
-    /// attributes executed-task counters to the right worker.
+    /// `(pool identity, worker index)` of the resident worker running on this
+    /// thread, if any. Attributes executed-task counters to the right worker.
     static WORKER_SLOT: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
 }
 
@@ -162,7 +147,7 @@ struct JobCore {
     /// this to zero wakes the dispatcher.
     remaining: AtomicUsize,
     /// Maximum number of threads (dispatcher included) allowed to execute
-    /// tasks *concurrently*; further thieves skip the job. This is how a
+    /// tasks *concurrently*; further workers skip the job. This is how a
     /// dispatch models fewer cluster cores than the pool owns.
     limit: usize,
     /// Threads currently executing tasks of this job (the dispatcher counts
@@ -201,9 +186,8 @@ impl Counters {
 pub struct WorkerStats {
     /// Tasks this participant executed in total.
     pub executed: u64,
-    /// The subset of `executed` claimed from a job discovered by stealing —
-    /// popped from another worker's deque or pulled from the injector —
-    /// rather than dispatched or re-advertised by this participant itself.
+    /// The subset of `executed` claimed from a job this participant did not
+    /// dispatch — one whose advertisement it popped off the shared queue.
     pub stolen: u64,
 }
 
@@ -229,120 +213,13 @@ impl PoolStats {
     }
 }
 
-/// A fixed-capacity Chase–Lev work-stealing deque of job advertisements.
-///
-/// Owner (`push`/`pop`) is the resident worker the deque belongs to; `steal`
-/// may be called from any thread. The memory orderings follow Lê et al.,
-/// "Correct and Efficient Work-Stealing for Weak Memory Models" (PPoPP '13).
-struct Deque {
-    /// Steal end; only ever incremented, via CAS.
-    top: AtomicIsize,
-    /// Owner end; owner-written, thief-read.
-    bottom: AtomicIsize,
-    slots: Box<[DequeSlot]>,
-    counters: Counters,
-}
-
-struct DequeSlot(std::cell::UnsafeCell<MaybeUninit<JobHandle>>);
-
-// SAFETY: slot access is coordinated by the Chase–Lev indices — a slot is
-// written only by the owner while no live index references it, and racy reads
-// are resolved by the CAS on `top` (the loser forgets the bytes it read).
-unsafe impl Sync for DequeSlot {}
-
-impl Deque {
-    fn new() -> Self {
-        Deque {
-            top: AtomicIsize::new(0),
-            bottom: AtomicIsize::new(0),
-            slots: (0..DEQUE_CAPACITY)
-                .map(|_| DequeSlot(std::cell::UnsafeCell::new(MaybeUninit::uninit())))
-                .collect(),
-            counters: Counters::default(),
-        }
-    }
-
-    fn slot(&self, index: isize) -> *mut MaybeUninit<JobHandle> {
-        self.slots[index.rem_euclid(DEQUE_CAPACITY as isize) as usize]
-            .0
-            .get()
-    }
-
-    /// Owner-only: push a job at the bottom. Returns the handle back when the
-    /// deque is full (the caller overflows to the injector).
-    fn push(&self, handle: JobHandle) -> Result<(), JobHandle> {
-        let b = self.bottom.load(Ordering::Relaxed);
-        let t = self.top.load(Ordering::Acquire);
-        if b - t >= DEQUE_CAPACITY as isize {
-            return Err(handle);
-        }
-        // SAFETY: `b - t < capacity` means slot `b` holds no live entry, and
-        // only the owner (this thread) writes slots.
-        unsafe { (*self.slot(b)).write(handle) };
-        fence(Ordering::Release);
-        self.bottom.store(b + 1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Owner-only: pop the most recently pushed job (LIFO).
-    fn pop(&self) -> Option<JobHandle> {
-        let b = self.bottom.load(Ordering::Relaxed) - 1;
-        self.bottom.store(b, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        let t = self.top.load(Ordering::Relaxed);
-        if t > b {
-            // Empty: restore.
-            self.bottom.store(b + 1, Ordering::Relaxed);
-            return None;
-        }
-        // SAFETY: `t <= b` reserves slot `b` for us unless this is the last
-        // entry, in which case the CAS below arbitrates; a lost race forgets
-        // the read bytes without dropping them.
-        let value = unsafe { (*self.slot(b)).assume_init_read() };
-        if t == b {
-            let won = self
-                .top
-                .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                .is_ok();
-            self.bottom.store(b + 1, Ordering::Relaxed);
-            if !won {
-                std::mem::forget(value);
-                return None;
-            }
-        }
-        Some(value)
-    }
-
-    /// Any thread: steal the oldest job (FIFO).
-    fn steal(&self) -> Option<JobHandle> {
-        let t = self.top.load(Ordering::Acquire);
-        fence(Ordering::SeqCst);
-        let b = self.bottom.load(Ordering::Acquire);
-        if t >= b {
-            return None;
-        }
-        // SAFETY: the CAS below decides ownership of slot `t`; on failure the
-        // (possibly torn) bytes are forgotten, never dropped or used.
-        let value = unsafe { (*self.slot(t)).assume_init_read() };
-        if self
-            .top
-            .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-            .is_err()
-        {
-            std::mem::forget(value);
-            return None;
-        }
-        Some(value)
-    }
-}
-
-/// State guarded by the scheduler mutex. The deques and the injector carry
-/// the work itself; this mutex only coordinates sleeping and shutdown.
+/// State guarded by the scheduler mutex: the job queue itself plus the
+/// sleeping and shutdown bookkeeping, so publishing, popping and parking are
+/// ordered by one lock.
 struct PoolState {
-    /// Bumped on every publication; workers snapshot it before scanning for
-    /// work and park only if it is unchanged when they come up empty, so no
-    /// publication can slip between the scan and the sleep.
-    seq: u64,
+    /// Job advertisements, oldest first. Holds one entry per dispatch plus a
+    /// few re-advertisements, never one per task.
+    queue: VecDeque<JobHandle>,
     /// Workers currently parked on `work_ready` (gates the wakeup syscall).
     sleepers: usize,
     /// Set once, by `Drop`: workers exit their loop.
@@ -350,16 +227,13 @@ struct PoolState {
 }
 
 struct PoolShared {
-    /// One deque per resident worker.
-    deques: Vec<Deque>,
-    /// Jobs published by threads that own no deque (top-level dispatchers),
-    /// plus deque overflow.
-    injector: Mutex<VecDeque<JobHandle>>,
     state: Mutex<PoolState>,
-    /// Workers park here when no work is advertised.
+    /// Workers park here when the queue is empty.
     work_ready: Condvar,
     /// Dispatchers park here while their job's latch is non-zero.
     job_done: Condvar,
+    /// One entry per resident worker.
+    counters: Vec<Counters>,
     /// Counters of non-resident participants.
     external: Counters,
 }
@@ -370,29 +244,11 @@ impl PoolShared {
         Arc::as_ptr(self) as usize
     }
 
-    /// The deque index owned by the calling thread, if it is a resident
-    /// worker of *this* pool.
-    fn local_deque(self: &Arc<Self>) -> Option<usize> {
-        WORKER_SLOT
-            .with(Cell::get)
-            .filter(|&(pool, _)| pool == self.id())
-            .map(|(_, index)| index)
-    }
-
-    /// Makes `handle` stealable: local deque when called from a resident
-    /// worker (overflowing to the injector), injector otherwise — then wakes
-    /// parked workers.
-    fn publish(self: &Arc<Self>, handle: JobHandle) {
-        let overflow = match self.local_deque() {
-            Some(index) => self.deques[index].push(handle).err(),
-            None => Some(handle),
-        };
-        if let Some(handle) = overflow {
-            lock_unpoisoned(&self.injector).push_back(handle);
-        }
+    /// Appends `handle` to the job queue and wakes parked workers.
+    fn publish(&self, handle: JobHandle) {
         let sleepers = {
             let mut state = lock_unpoisoned(&self.state);
-            state.seq = state.seq.wrapping_add(1);
+            state.queue.push_back(handle);
             state.sleepers
         };
         if sleepers > 0 {
@@ -403,15 +259,15 @@ impl PoolShared {
     /// Counters of the calling thread: its own worker slot when resident
     /// here, the external bucket otherwise.
     fn my_counters(self: &Arc<Self>) -> &Counters {
-        match self.local_deque() {
-            Some(index) => &self.deques[index].counters,
-            None => &self.external,
+        match WORKER_SLOT.with(Cell::get) {
+            Some((pool, index)) if pool == self.id() => &self.counters[index],
+            _ => &self.external,
         }
     }
 }
 
 /// A persistent pool of parked worker threads executing indexed task batches
-/// through a work-stealing multi-queue scheduler.
+/// off one shared job queue.
 ///
 /// See the [module documentation](self) for the execution model. The pool is
 /// cheap to keep alive (workers sleep on a condition variable when no work is
@@ -434,15 +290,14 @@ impl WorkerPool {
         debug_assert!(workers > 0, "at least one worker is required");
         let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
-            deques: (1..workers).map(|_| Deque::new()).collect(),
-            injector: Mutex::new(VecDeque::new()),
             state: Mutex::new(PoolState {
-                seq: 0,
+                queue: VecDeque::new(),
                 sleepers: 0,
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
             job_done: Condvar::new(),
+            counters: (1..workers).map(|_| Counters::default()).collect(),
             external: Counters::default(),
         });
         let handles = (0..workers.saturating_sub(1))
@@ -470,9 +325,9 @@ impl WorkerPool {
         PoolStats {
             workers: self
                 .shared
-                .deques
+                .counters
                 .iter()
-                .map(|d| d.counters.snapshot())
+                .map(Counters::snapshot)
                 .collect(),
             external: self.shared.external.snapshot(),
         }
@@ -480,13 +335,13 @@ impl WorkerPool {
 
     /// Runs `task(i)` for every `i` in `0..tasks` and returns when all of them
     /// completed. The calling thread claims tasks over the job's atomic cursor
-    /// alongside every idle worker that pops or steals the job's
-    /// advertisement; each index is executed exactly once.
+    /// alongside every idle worker that pops the job's advertisement; each
+    /// index is executed exactly once.
     ///
     /// Independent dispatches run **concurrently** — there is no dispatch
-    /// slot to race for — and a dispatch made from inside a pool task
-    /// enqueues onto the local worker's deque, so even nested parallelism is
-    /// visible to idle workers. If a task panics, the first panic payload is
+    /// slot to race for — and a dispatch made from inside a pool task is
+    /// advertised on the same queue, so even nested parallelism is visible
+    /// to idle workers. If a task panics, the first panic payload is
     /// re-raised on the calling thread after the remaining tasks finished —
     /// the pool survives and the next dispatch proceeds normally.
     pub fn dispatch(&self, tasks: usize, task: &(dyn Fn(usize) + Sync)) {
@@ -569,22 +424,14 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     /// Parks no more: signals shutdown, joins every resident thread, then
-    /// drains the queues of stale advertisements.
+    /// frees the stale advertisements left in the queue.
     fn drop(&mut self) {
-        {
-            let mut state = lock_unpoisoned(&self.shared.state);
-            state.shutdown = true;
-        }
+        lock_unpoisoned(&self.shared.state).shutdown = true;
         self.shared.work_ready.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
-        // All threads are joined: exclusive access, safe to act as every
-        // deque's owner and free the remaining (necessarily stale) handles.
-        for deque in &self.shared.deques {
-            while deque.pop().is_some() {}
-        }
-        lock_unpoisoned(&self.shared.injector).clear();
+        lock_unpoisoned(&self.shared.state).queue.clear();
     }
 }
 
@@ -597,65 +444,39 @@ impl std::fmt::Debug for WorkerPool {
     }
 }
 
-/// Body of one resident worker thread: scan for work (own deque, then steal
-/// from the siblings, then the injector), execute whole jobs, park when a
-/// full scan comes up empty and nothing was published since it began.
+/// Body of one resident worker thread: pop the oldest advertisement, execute
+/// its job, and park on `work_ready` whenever the queue is empty. The pop and
+/// the decision to park happen under the lock `publish` pushes under, so no
+/// publication can slip between them.
 fn worker_loop(shared: &Arc<PoolShared>, index: usize) {
     WORKER_SLOT.with(|slot| slot.set(Some((shared.id(), index))));
-    loop {
-        let seen_seq = {
-            let state = lock_unpoisoned(&shared.state);
-            if state.shutdown {
-                return;
+    let mut state = lock_unpoisoned(&shared.state);
+    while !state.shutdown {
+        match state.queue.pop_front() {
+            Some(handle) => {
+                drop(state);
+                execute_job(shared, &handle, index);
+                drop(handle);
+                state = lock_unpoisoned(&shared.state);
             }
-            state.seq
-        };
-        let mut found = false;
-        while let Some((handle, stolen)) = find_work(shared, index) {
-            found = true;
-            execute_job(shared, &handle, index, stolen);
-        }
-        if found {
-            continue;
-        }
-        let mut state = lock_unpoisoned(&shared.state);
-        while !state.shutdown && state.seq == seen_seq {
-            state.sleepers += 1;
-            state = shared
-                .work_ready
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-            state.sleepers -= 1;
-        }
-        if state.shutdown {
-            return;
+            None => {
+                state.sleepers += 1;
+                state = shared
+                    .work_ready
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+                state.sleepers -= 1;
+            }
         }
     }
 }
 
-/// One scan for work from worker `index`'s perspective: own deque first
-/// (LIFO, cache-warm nested jobs), then steal from the sibling deques in
-/// round-robin order, then the shared injector.
-fn find_work(shared: &Arc<PoolShared>, index: usize) -> Option<(JobHandle, bool)> {
-    if let Some(handle) = shared.deques[index].pop() {
-        return Some((handle, false));
-    }
-    let n = shared.deques.len();
-    for offset in 1..n {
-        if let Some(handle) = shared.deques[(index + offset) % n].steal() {
-            return Some((handle, true));
-        }
-    }
-    if let Some(handle) = lock_unpoisoned(&shared.injector).pop_front() {
-        return Some((handle, true));
-    }
-    None
-}
-
-/// A worker joining a discovered job: enter under the job's concurrency
-/// limit, re-advertise it if there is still unclaimed work for further
-/// thieves, then drain the claim cursor.
-fn execute_job(shared: &Arc<PoolShared>, handle: &JobHandle, index: usize, stolen: bool) {
+/// A worker joining a popped job: enter under the job's concurrency limit,
+/// re-advertise it if there is still unclaimed work for further idle
+/// workers, then drain the claim cursor. A popped job is never one the
+/// worker dispatched itself (a dispatcher drains its cursor dry before it
+/// returns), so every task run here counts as stolen.
+fn execute_job(shared: &Arc<PoolShared>, handle: &JobHandle, index: usize) {
     let core = &handle.core;
     // Become an active executor, unless the job is finished (stale
     // advertisement) or its worker limit is met.
@@ -675,14 +496,14 @@ fn execute_job(shared: &Arc<PoolShared>, handle: &JobHandle, index: usize, stole
         }
     }
     // Fan out: if more tasks remain than this worker is about to start on and
-    // the limit allows more executors, make the job visible to further
-    // thieves (the advertisement just consumed is gone).
+    // the limit allows more executors, make the job visible to further idle
+    // workers (the advertisement just consumed is gone).
     if core.cursor.load(Ordering::Relaxed) + 1 < core.tasks
         && core.active.load(Ordering::Relaxed) < core.limit
     {
         shared.publish(handle.clone());
     }
-    drain_job(handle, shared, &shared.deques[index].counters, stolen);
+    drain_job(handle, shared, &shared.counters[index], true);
     core.active.fetch_sub(1, Ordering::Release);
 }
 
@@ -753,6 +574,7 @@ pub fn stats() -> PoolStats {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::Barrier;
 
     #[test]
     fn dispatch_runs_every_task_exactly_once() {
@@ -814,9 +636,9 @@ mod tests {
         let inner_total = AtomicU64::new(0);
         pool.dispatch(4, &|_| {
             // Under the single-slot scheduler this fell back to inline
-            // execution; now it enqueues on the local deque and the nested
-            // dispatcher drains it alongside any idle thief — either way it
-            // must complete with every index executed exactly once.
+            // execution; now it is advertised on the shared queue and the
+            // nested dispatcher drains it alongside any idle worker — either
+            // way it must complete with every index executed exactly once.
             pool.dispatch(8, &|j| {
                 inner_total.fetch_add(j as u64, Ordering::Relaxed);
             });
@@ -826,30 +648,27 @@ mod tests {
 
     #[test]
     fn deeply_nested_dispatches_overflow_to_the_injector_and_complete() {
-        // Many sequential nested dispatches from inside one task push more
-        // advertisements than one deque holds (they are only consumed
-        // lazily); the overflow path must route through the injector without
-        // losing or double-running anything.
+        // Many sequential nested dispatches from inside one task leave a
+        // backlog of advertisements (they are only consumed lazily, most of
+        // them stale by then); the queue must absorb them without losing or
+        // double-running anything.
         let pool = WorkerPool::new(3);
         let total = AtomicU64::new(0);
         pool.dispatch(2, &|outer| {
             if outer == 0 {
-                for _ in 0..(DEQUE_CAPACITY * 2) {
+                for _ in 0..128 {
                     pool.dispatch(2, &|j| {
                         total.fetch_add(j as u64 + 1, Ordering::Relaxed);
                     });
                 }
             }
         });
-        assert_eq!(
-            total.load(Ordering::Relaxed),
-            (DEQUE_CAPACITY as u64) * 2 * 3
-        );
+        assert_eq!(total.load(Ordering::Relaxed), 128 * 3);
     }
 
     #[test]
     fn independent_dispatches_run_concurrently() {
-        // Two dispatches from two threads: under the work-stealing scheduler
+        // Two dispatches from two threads: under the shared-queue scheduler
         // neither inlines nor waits for the other; both must observe tasks of
         // the two jobs in flight at the same time (on a multi-worker pool the
         // sleeps guarantee overlapping lifetimes regardless of host cores).
@@ -981,9 +800,9 @@ mod tests {
 
     #[test]
     fn stealing_is_exercised_under_contention() {
-        // A top-level dispatch lands in the injector; with sleepy tasks the
-        // resident workers must pull from it (every such pull counts as a
-        // steal), so the steal counters provably move.
+        // A top-level dispatch lands in the queue; with sleepy tasks the
+        // resident workers must pop it (every task run from a popped job
+        // counts as a steal), so the steal counters provably move.
         let pool = WorkerPool::new(4);
         let before = pool.stats().total_stolen();
         pool.dispatch(32, &|_| {
@@ -997,39 +816,87 @@ mod tests {
     }
 
     #[test]
-    fn chase_lev_deque_push_pop_steal_roundtrip() {
-        let deque = Deque::new();
-        let core = Arc::new(JobCore {
-            cursor: AtomicUsize::new(0),
+    fn stolen_counts_exactly_the_tasks_workers_ran_from_popped_jobs() {
+        // Two outside threads dispatch at once, three tasks each, and every
+        // task waits on its dispatch's three-party barrier. A dispatcher
+        // blocks inside the first task it claims, so at least two tasks of
+        // each dispatch must run on resident workers, and four residents
+        // always suffice. Neither dispatcher is resident, so neither pops a
+        // job: the external bucket executes tasks but steals none, and each
+        // resident worker ran only tasks of jobs it popped.
+        let pool = WorkerPool::new(5);
+        let barriers = [Barrier::new(3), Barrier::new(3)];
+        std::thread::scope(|scope| {
+            for barrier in &barriers {
+                let pool = &pool;
+                scope.spawn(move || {
+                    pool.dispatch(3, &|_| {
+                        barrier.wait();
+                    })
+                });
+            }
+        });
+        let stats = pool.stats();
+        assert_eq!(stats.total_executed(), 6);
+        assert_eq!(stats.external.stolen, 0);
+        assert!(stats.external.executed <= 2, "{stats:?}");
+        for (index, worker) in stats.workers.iter().enumerate() {
+            assert_eq!(worker.stolen, worker.executed, "worker {index}");
+        }
+        assert_eq!(stats.total_stolen(), 6 - stats.external.executed);
+    }
+
+    /// A stale advertisement: its job has no tasks, so whoever pops it
+    /// discards it without dereferencing the task pointer.
+    fn stale_handle(core: &Arc<JobCore>) -> JobHandle {
+        let noop: &'static (dyn Fn(usize) + Sync) = &|_| {};
+        JobHandle {
+            task: TaskRef(noop as *const _),
+            core: Arc::clone(core),
+        }
+    }
+
+    /// A finished job carrying `tag` in its cursor (any cursor at or past
+    /// `tasks = 0` reads as stale).
+    fn stale_core(tag: usize) -> Arc<JobCore> {
+        Arc::new(JobCore {
+            cursor: AtomicUsize::new(tag),
             tasks: 0,
             remaining: AtomicUsize::new(0),
             limit: 1,
             active: AtomicUsize::new(0),
             panic: Mutex::new(None),
-        });
-        let noop: &(dyn Fn(usize) + Sync) = &|_| {};
-        let handle = |_: usize| JobHandle {
-            task: TaskRef(noop as *const _),
-            core: Arc::clone(&core),
-        };
-        assert!(deque.pop().is_none());
-        assert!(deque.steal().is_none());
-        for i in 0..DEQUE_CAPACITY {
-            assert!(deque.push(handle(i)).is_ok(), "push {i} of capacity");
+        })
+    }
+
+    #[test]
+    fn chase_lev_deque_push_pop_steal_roundtrip() {
+        // The name predates the single queue; the test now pins its contract.
+        // A one-worker pool has no resident thread to consume the queue, so
+        // advertisements come back out in exactly the order they went in.
+        let pool = WorkerPool::new(1);
+        let cores: Vec<Arc<JobCore>> = (0..16).map(stale_core).collect();
+        for core in &cores {
+            pool.shared.publish(stale_handle(core));
         }
-        // Full: the next push hands the value back for the injector.
-        assert!(deque.push(handle(usize::MAX)).is_err());
-        // Owner pops LIFO, thief steals FIFO; together they drain it all.
-        assert!(deque.pop().is_some());
-        assert!(deque.steal().is_some());
-        let mut drained = 2;
-        while deque.pop().is_some() {
-            drained += 1;
+        let popped: Vec<usize> =
+            std::iter::from_fn(|| lock_unpoisoned(&pool.shared.state).queue.pop_front())
+                .map(|handle| handle.core.cursor.load(Ordering::Relaxed))
+                .collect();
+        assert_eq!(popped, (0..16).collect::<Vec<_>>(), "queue is not FIFO");
+        assert!(cores.iter().all(|core| Arc::strong_count(core) == 1));
+
+        // Dropping a pool frees whatever stale advertisements are left,
+        // whether or not its workers got to them first.
+        for workers in [1, 3] {
+            let core = stale_core(0);
+            let pool = WorkerPool::new(workers);
+            for _ in 0..32 {
+                pool.shared.publish(stale_handle(&core));
+            }
+            drop(pool);
+            assert_eq!(Arc::strong_count(&core), 1, "workers={workers}");
         }
-        assert_eq!(drained, DEQUE_CAPACITY);
-        assert!(deque.steal().is_none());
-        // Arc bookkeeping survived the churn: only core + our template left.
-        assert_eq!(Arc::strong_count(&core), 1);
     }
 
     #[cfg(debug_assertions)]

@@ -28,7 +28,7 @@
 //! * **Coalescing** — a shard drains *everything* queued since its last wake
 //!   into one batch and executes the whole batch as a single
 //!   [`pool::dispatch_limited`](mcl_core::pool::WorkerPool::dispatch_limited)
-//!   over the work-stealing pool (one task per drone with pending frames, the
+//!   over the shared worker pool (one task per drone with pending frames, the
 //!   per-drone frames applied in arrival order). Concurrently arriving
 //!   observation updates therefore share one publish/claim round trip instead
 //!   of paying the `dispatch_overhead` bench's cost once per update.

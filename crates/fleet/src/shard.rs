@@ -6,7 +6,7 @@
 //! last woke is grouped per drone (preserving per-drone arrival order) and
 //! the whole group set is executed as a single
 //! [`dispatch_limited`](mcl_core::pool::WorkerPool::dispatch_limited) over
-//! the shared work-stealing pool — one task per drone, so concurrently
+//! the shared worker pool — one task per drone, so concurrently
 //! arriving updates share one publish/claim round trip.
 //!
 //! Control commands (register / deregister / owner cleanup / barrier) are

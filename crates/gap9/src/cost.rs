@@ -36,15 +36,16 @@
 //! resident-cluster accounting (a single filter owning the dedicated
 //! hardware barrier, as the paper deploys it),
 //! [`DispatchModel::WorkStealing`] charges the small queue costs of the
-//! host pool's multi-queue scheduler (publish one advertisement, thieves
-//! CAS-claim it — [`CostModel::injector_publish_cycles`] and
+//! host pool's shared job queue (publish one advertisement, each joining
+//! worker pops it and claims work off its cursor —
+//! [`CostModel::injector_publish_cycles`] and
 //! [`CostModel::steal_cycles_per_worker`]), and
 //! [`DispatchModel::SpawnPerDispatch`] charges the full
 //! [`CostModel::spawn_cycles_per_worker`] for every non-orchestrating worker
 //! of every kernel dispatch — the cost the host paid back when `ClusterLayout`
 //! spawned scoped threads per call, and what a firmware that powered the
 //! cluster up per update would pay. The three models are strictly ordered
-//! (resident ≤ work-stealing ≤ spawn) and their pairwise savings are
+//! (resident ≤ shared-queue ≤ spawn) and their pairwise savings are
 //! additive, which `dispatch_savings_per_update_cycles` exposes. The `*_with`
 //! method variants take the dispatch model; the plain methods assume the
 //! resident pool, keeping the Table I calibration unchanged.
@@ -73,10 +74,11 @@ pub enum DispatchModel {
     /// Table I behaviour.
     #[default]
     PersistentPool,
-    /// Workers are resident but shared through the work-stealing multi-queue
-    /// scheduler (`mcl_core::pool`): a dispatch publishes one advertisement
-    /// ([`CostModel::injector_publish_cycles`]) and each joining worker
-    /// CAS-claims work off it ([`CostModel::steal_cycles_per_worker`]) —
+    /// Workers are resident but shared through the host pool's job queue
+    /// (`mcl_core::pool`): a dispatch publishes one advertisement
+    /// ([`CostModel::injector_publish_cycles`]) and each joining worker pops
+    /// it and claims work off its cursor
+    /// ([`CostModel::steal_cycles_per_worker`]) —
     /// the price of letting many concurrent filter instances share one
     /// cluster instead of owning a dedicated hardware barrier.
     WorkStealing,
@@ -205,21 +207,22 @@ pub struct CostModel {
     /// ~20 µs a host OS thread spawn costs, expressed at 400 MHz; the
     /// resident-cluster model never charges it.
     pub spawn_cycles_per_worker: f64,
-    /// Fixed cycles to publish one dispatch advertisement into the
-    /// work-stealing scheduler under [`DispatchModel::WorkStealing`]: the
-    /// deque/injector push, the sequence bump and the wakeup of parked
-    /// workers. Calibrated against the host pool's `dispatch_overhead` bench
-    /// group (archived in `BENCH_kernels.json`): an 8-invocation pool
+    /// Fixed cycles to publish one dispatch advertisement on the pool's job
+    /// queue under [`DispatchModel::WorkStealing`]: the locked queue push and
+    /// the wakeup of parked workers. (The field name predates the single
+    /// queue; it is kept so calibrations stay comparable.) Calibrated against
+    /// the host pool's `dispatch_overhead` bench group (archived in
+    /// `BENCH_kernels.json`): an 8-invocation pool
     /// dispatch measures ≈10 µs over the inline baseline, i.e. ≈3960 cycles
     /// at the 0.4 GHz scaling the spawn-model calibration uses, split here
     /// as one publish plus seven per-worker claims.
     pub injector_publish_cycles: f64,
-    /// Cycles each joining worker pays to discover and CAS-claim a published
-    /// job under [`DispatchModel::WorkStealing`] — the deque scan plus the
-    /// `top` compare-and-swap, charged once per non-orchestrating worker per
-    /// dispatch (same `dispatch_overhead` calibration as
+    /// Cycles each joining worker pays to pick up a published job under
+    /// [`DispatchModel::WorkStealing`] — the locked queue pop plus the
+    /// compare-and-swap that admits it under the job's worker limit, charged
+    /// once per non-orchestrating worker per dispatch (same `dispatch_overhead` calibration as
     /// [`CostModel::injector_publish_cycles`]). More than an order of
-    /// magnitude below [`CostModel::spawn_cycles_per_worker`]: stealing
+    /// magnitude below [`CostModel::spawn_cycles_per_worker`]: joining a job
     /// shares residency, it does not re-create workers.
     pub steal_cycles_per_worker: f64,
     /// Fraction of each step's per-item cycles the GAP9 SIMD datapath can
@@ -482,7 +485,7 @@ impl CostModel {
     /// synchronization) when `invocations` kernel invocations are handed to
     /// the workers under `dispatch`: zero for the resident pool and for any
     /// single-invocation (sequential) step; one advertisement publish plus a
-    /// steal per non-orchestrating worker under the work-stealing scheduler;
+    /// pickup per non-orchestrating worker under the shared job queue;
     /// one [`CostModel::spawn_cycles_per_worker`] per non-orchestrating
     /// worker when every dispatch spawns.
     pub fn dispatch_overhead_cycles(&self, dispatch: DispatchModel, invocations: usize) -> f64 {

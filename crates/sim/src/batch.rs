@@ -5,7 +5,7 @@
 //! Figs. 6–8 sweep sequences, pipeline configurations, particle counts and
 //! seeds — is embarrassingly parallel over runs. [`run_batch`] evaluates a
 //! list of [`BatchJob`]s as one **first-class dispatch** on the shared
-//! work-stealing worker pool ([`mcl_core::pool::shared`], capped at `threads`
+//! worker pool ([`mcl_core::pool::shared`], capped at `threads`
 //! concurrent workers) and returns the results **in job order**, so the
 //! output is deterministic and independent of the thread count: each job's
 //! filter owns its particles and its counter-based RNG streams, making runs
@@ -13,13 +13,13 @@
 //!
 //! # How job-level and filter-level parallelism share the pool
 //!
-//! Under the work-stealing scheduler a batch no longer owns the pool while it
-//! runs. Several `run_batch` sweeps issued from separate threads execute
-//! **concurrently**, their jobs interleaving across the workers fairly
-//! instead of queueing whole-sweep behind one another. And when a filter
+//! A batch does not own the pool while it runs. Several `run_batch` sweeps
+//! issued from separate threads execute **concurrently**, their jobs
+//! interleaving across the workers fairly instead of queueing whole-sweep
+//! behind one another. And when a filter
 //! update *inside* a job asks its [`ClusterLayout`](mcl_core::ClusterLayout)
-//! to parallelize, that nested kernel dispatch is enqueued on the job's
-//! worker deque where idle workers steal it — a sweep with fewer jobs than
+//! to parallelize, that nested kernel dispatch is advertised on the pool's
+//! job queue where idle workers pick it up — a sweep with fewer jobs than
 //! workers still lights up the whole pool at kernel granularity (the
 //! single-slot scheduler forced those kernels inline). The scheduler's
 //! per-dispatch concurrency caps keep job × kernel nesting from
@@ -164,7 +164,7 @@ pub fn run_batch(scenario: &PaperScenario, jobs: &[BatchJob], threads: usize) ->
             evaluate(index);
         }
     } else {
-        // First-class dispatch on the work-stealing scheduler: this sweep
+        // First-class dispatch on the shared pool: this sweep
         // runs concurrently with whatever else is in flight (other sweeps,
         // other filters), sharing the workers instead of waiting for a slot.
         mcl_core::pool::shared().dispatch_limited(jobs.len(), threads, &evaluate);

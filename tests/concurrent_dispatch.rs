@@ -1,4 +1,4 @@
-//! Harness for the work-stealing multi-queue scheduler: concurrency that the
+//! Harness for the shared job-queue scheduler: concurrency that the
 //! single-slot pool could not express, pinned both for liveness (parallelism
 //! actually happens) and for determinism (it is unobservable in the results).
 //!
@@ -6,7 +6,7 @@
 //!
 //! * **Nested kernel parallelism.** A kernel dispatch issued from *inside* a
 //!   pool task — the shape of a filter update inside a `run_batch` job — is
-//!   enqueued on the local worker's deque and stolen by idle workers, not
+//!   advertised on the pool's job queue and picked up by idle workers, not
 //!   starved into inline execution as the single-slot scheduler did. The
 //!   regression test asserts that nested tasks run on more than one thread
 //!   and that the steal counters provably moved.
@@ -15,8 +15,9 @@
 //!   evaluations return, for every `MCL_TEST_WORKERS` the CI matrix injects
 //!   (the shared pool is sized by it) and for both kernel backends.
 //! * **Stealing is exercised.** Under a contended dispatch on the shared
-//!   pool, `pool::stats()` shows non-zero steal counts — the work-stealing
-//!   path is live, not dead code behind an inline fallback.
+//!   pool, `pool::stats()` shows non-zero steal counts — idle workers really
+//!   join published jobs, rather than everything running behind an inline
+//!   fallback.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -29,9 +30,9 @@ use tof_mcl::sim::{run_batch, BatchJob, PaperScenario, SequenceResult};
 
 /// Regression for the nested-dispatch starvation edge: a dispatch from inside
 /// a pool task used to always run inline when the pool was busy (the single
-/// slot was taken by the outer job). Under the work-stealing scheduler the
-/// nested job is advertised on the local deque, so idle workers pick its
-/// tasks up — kernel-level parallelism inside job-level parallelism.
+/// slot was taken by the outer job). Now the nested job is advertised on the
+/// pool's job queue, so idle workers pick its tasks up — kernel-level
+/// parallelism inside job-level parallelism.
 #[test]
 fn nested_dispatch_tasks_run_on_multiple_threads() {
     let pool = WorkerPool::new(4);
@@ -85,9 +86,9 @@ fn shared_pool_stats_expose_live_stealing_under_contention() {
     let after = pool::stats();
     assert_eq!(tasks.load(Ordering::Relaxed), 48);
     assert_eq!(after.total_executed() - before.total_executed(), 48);
-    // A top-level dispatch is published through the injector; with sleepy
-    // tasks the resident workers must have pulled from it, and every such
-    // claim counts as a steal.
+    // A top-level dispatch is published on the job queue; with sleepy tasks
+    // the resident workers must have popped it, and every task they run from
+    // a popped job counts as a steal.
     assert!(
         after.total_stolen() > before.total_stolen(),
         "steal counters did not move under a contended dispatch"

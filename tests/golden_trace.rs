@@ -2,7 +2,7 @@
 //! pose estimates pinned as hex-encoded `f32` bit patterns.
 //!
 //! The determinism suites compare two live code paths against each other
-//! (SoA vs AoS, pool vs scoped, lanes vs scalar) — a numeric change that hits
+//! (SoA vs AoS, pool vs sequential, lanes vs scalar) — a numeric change that hits
 //! *both* sides identically slips through all of them. This fixture is the
 //! absolute anchor: any future kernel change that silently shifts the
 //! filter's numerics (a re-associated sum, a "harmless" fused multiply-add, a

@@ -1,14 +1,14 @@
 //! Determinism harness for the persistent worker pool.
 //!
-//! The `ClusterLayout` dispatch entry points moved from per-dispatch scoped
-//! threads onto the shared persistent `mcl_core::pool::WorkerPool`. This suite
-//! proves the move unobservable in the results:
+//! The `ClusterLayout` dispatch entry points run their chunks on the shared
+//! persistent `mcl_core::pool::WorkerPool`. This suite proves the pool
+//! unobservable in the results:
 //!
 //! * filter particles **and** pose estimates are bit-identical across
 //!   `ClusterLayout::{SINGLE, new(3), GAP9}` (plus the `MCL_TEST_WORKERS`
 //!   layout the CI matrix injects) when running on the pool;
 //! * every pooled dispatch entry point produces outputs bit-identical to its
-//!   scoped-spawn reference twin on the same inputs;
+//!   sequential definition, written inline in the test, on the same inputs;
 //! * repeated dispatches on one warm pool leave no state behind — replaying
 //!   the same run yields the same bits, update after update.
 //!
@@ -178,8 +178,10 @@ proptest! {
         }
     }
 
-    /// The motion kernel dispatched on the pool matches the scoped-spawn
-    /// reference bit for bit, for every layout.
+    /// The motion kernel dispatched on the pool matches a single-chunk call
+    /// of the kernel over the whole buffer bit for bit, for every layout.
+    /// (The name dates from a scoped-thread reference and is kept for
+    /// continuity.)
     #[test]
     fn pooled_motion_kernel_matches_the_scoped_reference(
         seed in 0u64..500,
@@ -192,22 +194,23 @@ proptest! {
             layout.for_each_split(pooled.as_mut_slice(), |start, chunk| {
                 kernel::motion_predict(chunk, &model, &delta, seed, 2, start as u64);
             });
-            let mut scoped = particles(n);
-            layout.for_each_split_scoped(scoped.as_mut_slice(), |start, chunk| {
-                kernel::motion_predict(chunk, &model, &delta, seed, 2, start as u64);
-            });
+            let mut sequential = particles(n);
+            kernel::motion_predict(sequential.as_mut_slice(), &model, &delta, seed, 2, 0);
             prop_assert_eq!(
                 pooled.to_particles(),
-                scoped.to_particles(),
+                sequential.to_particles(),
                 "workers={}", layout.workers()
             );
         }
     }
 
-    /// Every dispatch entry point agrees with its scoped twin on random data:
-    /// mutation (`for_each_split`), per-chunk results (`map_split`),
-    /// fixed-block reduction (`map_index_blocks`) and plan-shaped ranges
-    /// (`for_each_range` via `scatter_resample`).
+    /// Every dispatch entry point agrees with its sequential definition on
+    /// random data: mutation (`for_each_split` vs one `work(0, whole)` call),
+    /// per-chunk results (`map_split` vs mapping `layout.chunks(n)`),
+    /// fixed-block reduction (`map_index_blocks` vs a plain block loop) and
+    /// plan-shaped ranges (`for_each_range` via `scatter_resample` vs
+    /// `source[indices[i]]`). (The name dates from scoped-thread twins and is
+    /// kept for continuity.)
     #[test]
     fn every_entry_point_matches_its_scoped_twin(
         values in prop::collection::vec(0u64..u64::MAX, 1..300),
@@ -223,16 +226,19 @@ proptest! {
             };
             let mut pooled = values.clone();
             layout.for_each_split(pooled.as_mut_slice(), mutate);
-            let mut scoped = values.clone();
-            layout.for_each_split_scoped(scoped.as_mut_slice(), mutate);
-            prop_assert_eq!(&pooled, &scoped);
+            let mut sequential = values.clone();
+            mutate(0, sequential.as_mut_slice());
+            prop_assert_eq!(&pooled, &sequential);
 
             // map_split: per-chunk f64 sums, order-sensitive fold.
             let sum = |_: usize, chunk: &[u64]| {
                 chunk.iter().map(|&v| (v % 1024) as f64).sum::<f64>()
             };
             let a = layout.map_split(values.as_slice(), sum);
-            let b = layout.map_split_scoped(values.as_slice(), sum);
+            let b: Vec<f64> = layout
+                .chunks(values.len())
+                .map(|(s, e)| sum(s, &values[s..e]))
+                .collect();
             prop_assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(b.iter()) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
@@ -243,7 +249,10 @@ proptest! {
                 values[s..e].iter().map(|&v| (v % 4096) as f64).sum::<f64>()
             };
             let a = layout.map_index_blocks(values.len(), 32, reduce);
-            let b = layout.map_index_blocks_scoped(values.len(), 32, reduce);
+            let b: Vec<f64> = (0..values.len())
+                .step_by(32)
+                .map(|s| reduce(s, (s + 32).min(values.len())))
+                .collect();
             prop_assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(b.iter()) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
@@ -260,12 +269,11 @@ proptest! {
         }
         let source: Vec<u64> = (0..total as u64).map(|i| i * 31).collect();
         let indices: Vec<usize> = (0..total).map(|i| (i * 13) % total.max(1)).collect();
+        let sequential: Vec<u64> = indices.iter().map(|&i| source[i]).collect();
         for layout in layouts() {
             let mut pooled = vec![0u64; total];
             layout.scatter_resample(&source, &mut pooled, &indices, &ranges);
-            let mut scoped = vec![0u64; total];
-            layout.scatter_resample_scoped(&source, &mut scoped, &indices, &ranges);
-            prop_assert_eq!(&pooled, &scoped, "workers={}", layout.workers());
+            prop_assert_eq!(&pooled, &sequential, "workers={}", layout.workers());
         }
     }
 }
