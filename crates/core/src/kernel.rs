@@ -35,7 +35,7 @@
 //! | [`observation_log_likelihoods_with`] | scalar | lanes | avx2 |
 //! | [`anchor_log_likelihoods_with`] | scalar | lanes | lanes |
 //! | [`reweight_with`] | scalar | lanes | lanes |
-//! | [`motion_predict_with`] | scalar | scalar | scalar |
+//! | [`motion_predict_with`] | scalar | lanes | lanes, AVX2 build |
 //! | [`resample_scatter_with`] | scalar | scalar | scalar |
 //! | [`pose_estimate_with`] ([`PosePartials`] / [`SpreadPartials`]) | scalar | scalar | scalar |
 //!
@@ -51,9 +51,17 @@
 //! | observation | 647–705 / 99–137 | 322–369 / 66–81 | 135–157 / 47–54 |
 //! | anchor | — / 33–46 | — / 20–22 | — / 22–23 |
 //! | reweight | 37–46 / 44–55 | 34–40 / 38–44 | 34–55 / 41–48 |
-//! | motion | 341–387 / 204–265 | 366–413 / 194–274 | 365–422 / 187–278 |
+//! | motion | 214–232 / 138–150 | 94–105 / 84–95 | 61–68 / 73–78 |
 //! | resample scatter | 22–29 / 10–13 | 17–20 / 7.7–7.8 | 15–17 / 6.9–7.1 |
 //! | estimate | 105–119 / 227–262 | 106–121 / 231–274 | 103–110 / 231–272 |
+//!
+//! The motion row is from its libm-free polynomial body (6 s runs, measured
+//! after the others). Its `lanes` groups run 2.2× / 1.6× faster than its
+//! scalar loop, and the AVX2 build of the same source a further 1.5× /
+//! 1.1–1.2× over `lanes`; the `onboard` gap is well above the leg-order
+//! bias described next, so the AVX2 build stays. On `fused_adaptive` the
+//! binary16 load and store conversions, scalar calls per lane, take most of
+//! the time left.
 //!
 //! The legs run scalar → lanes → avx2 on the same inputs, so later legs find
 //! warmer caches. The `lanes` and `avx2` scatter bodies were the same code,
@@ -75,6 +83,10 @@
 //!   behind `is_x86_feature_detected!("avx2")`; on any host where the probe
 //!   fails, and on non-x86 builds, `Avx2` runs the `Lanes` body, so selecting
 //!   it is always safe and always bit-identical.
+//! * The `Avx2` motion body is no separate code: it is the `Lanes` group
+//!   loop compiled under `#[target_feature(enable = "avx2")]`, behind the
+//!   same runtime probe, so the autovectorizer issues its lanes 8 wide
+//!   instead of at the build's baseline width.
 //!
 //! The lane-width contract: lane grouping is an *execution* detail, never a
 //! *numeric* one. Each lane performs exactly the per-particle op sequence of
@@ -89,8 +101,12 @@
 //! **FMA is never used** — a fused multiply-add rounds once where the scalar
 //! body rounds twice, which would silently break bit-identity even though the
 //! host advertises the `fma` feature. Masked lanes (out-of-bounds lookups,
-//! loop tails) replay the scalar select order, and the `sin_cos` of the pose
-//! yaw stays scalar per lane.
+//! loop tails) replay the scalar select order, and the observation body's
+//! `sin_cos` of the pose yaw stays a scalar libm call per lane. The motion
+//! body calls no libm function at all: its `ln` and `sin_cos` are the
+//! fixed polynomials of [`mcl_num::poly`], built from the same
+//! single-rounding ops, so the autovectorized lanes match the scalar
+//! reference by construction.
 //!
 //! All of this is pinned by `tests/kernel_backend_equivalence.rs` across tail
 //! lengths, cluster layouts and warm-pool reruns; the `MCL_KERNEL_BACKEND`
@@ -103,6 +119,7 @@ use crate::motion::{MotionDelta, MotionModel};
 use crate::observation::{AnchorRangeModel, BeamEndPointModel};
 use crate::parallel::ClusterLayout;
 use crate::particle::{ParticleBuffer, ParticleSlice, ParticleSliceMut};
+use crate::rng::CounterRng;
 use mcl_gridmap::{DistanceField, Pose2};
 use mcl_num::{angular_difference, normalize_angle, Scalar};
 use mcl_sensor::{BeamBatch, ObservationBatch};
@@ -133,23 +150,24 @@ pub const LANES: usize = mcl_gridmap::DISTANCE_LANES;
 pub enum KernelBackend {
     /// Per-particle reference loops for every kernel — the simplest correct
     /// implementation, kept as the equivalence baseline and the tail body of
-    /// the lane kernels. Motion, resample scatter and the pose/spread
-    /// reduction run this body under every backend.
+    /// the lane kernels. Resample scatter and the pose/spread reduction run
+    /// this body under every backend.
     Scalar,
     /// Lane-batched loops: fixed [`LANES`]-wide, autovectorizer-friendly
-    /// group bodies plus a scalar-reference tail, for the observation, anchor
-    /// and reweight kernels; every other kernel runs the scalar body.
+    /// group bodies plus a scalar-reference tail, for the observation, anchor,
+    /// reweight and motion kernels; every other kernel runs the scalar body.
     /// Bit-identical to `Scalar`; the portable default.
     #[default]
     Lanes,
     /// Explicit AVX2 intrinsics (x86-64, runtime-detected) for the
     /// observation kernel: the pose groups issued as 8×f32 register ops with
-    /// gather-based EDT lookups. The anchor and reweight kernels run their
+    /// gather-based EDT lookups. The motion kernel runs its `Lanes` source
+    /// compiled with AVX2 enabled, the anchor and reweight kernels run their
     /// `Lanes` body, every other kernel the scalar body. Bit-identical to
-    /// `Scalar` (single-rounding ops only, no FMA); the observation kernel
-    /// falls back to `Lanes` when the host lacks AVX2, so selecting it is
-    /// safe everywhere. [`KernelBackend::detect`] picks it by default on
-    /// capable hosts.
+    /// `Scalar` (single-rounding ops only, no FMA); the observation and
+    /// motion kernels fall back to `Lanes` when the host lacks AVX2, so
+    /// selecting it is safe everywhere. [`KernelBackend::detect`] picks it by
+    /// default on capable hosts.
     Avx2,
 }
 
@@ -186,8 +204,8 @@ impl KernelBackend {
     /// Whether this backend's dedicated kernel bodies can run on this host.
     /// `Scalar` and `Lanes` are portable; `Avx2` requires a runtime-detected
     /// x86-64 AVX2 CPU. Dispatching an unavailable backend is still valid —
-    /// it runs the `Lanes` observation body — so this only reports whether
-    /// selecting it changes the instructions executed.
+    /// it runs the `Lanes` observation and motion bodies — so this only
+    /// reports whether selecting it changes the instructions executed.
     pub fn is_available(self) -> bool {
         match self {
             KernelBackend::Scalar | KernelBackend::Lanes => true,
@@ -277,12 +295,17 @@ pub fn motion_predict<S: Scalar>(
     }
 }
 
-/// The prediction kernel behind a [`KernelBackend`] selection. Every backend
-/// runs [`motion_predict`]: the body is three counter-based Gaussian draws
-/// plus a `sin_cos` pose composition per particle, with no wide arithmetic to
-/// issue (see the [body table](self#kernel-backends-and-the-lane-width-contract)).
-pub fn motion_predict_with<S: Scalar>(
-    _backend: KernelBackend,
+/// The lane-group loop of the prediction kernel: [`LANES`]-wide groups of
+/// [`MotionModel::predict_lane`] over `f32` copies of the pose arrays, then
+/// the `len % LANES` tail through the per-particle [`MotionModel::predict`].
+/// The group body is branch-free straight-line arithmetic (no libm call, no
+/// FMA), so the compiler vectorizes it across the lanes; a lane whose
+/// heading left the one-step wrap window is redone with
+/// [`MotionModel::predict_wrapped`] after the group, which is exactly what
+/// [`MotionModel::predict`] does for it. Every particle therefore gets the
+/// bits of [`motion_predict`] for any chunking.
+#[inline(always)]
+pub(crate) fn motion_lane_groups<S: Scalar>(
     particles: ParticleSliceMut<'_, S>,
     model: &MotionModel,
     delta: &MotionDelta,
@@ -290,7 +313,91 @@ pub fn motion_predict_with<S: Scalar>(
     update_index: u64,
     first_index: u64,
 ) {
-    motion_predict(particles, model, delta, seed, update_index, first_index)
+    let stream = |i: usize| CounterRng::for_particle(seed, update_index, first_index + i as u64);
+    let n = particles.len();
+    let mut i = 0usize;
+    while i + LANES <= n {
+        let group_x = &mut particles.x[i..i + LANES];
+        let group_y = &mut particles.y[i..i + LANES];
+        let group_theta = &mut particles.theta[i..i + LANES];
+        let mut pose = [[0.0f32; 3]; LANES];
+        for (l, p) in pose.iter_mut().enumerate() {
+            *p = [
+                group_x[l].to_f32(),
+                group_y[l].to_f32(),
+                group_theta[l].to_f32(),
+            ];
+        }
+        let mut xs = [0.0f32; LANES];
+        let mut ys = [0.0f32; LANES];
+        let mut thetas = [0.0f32; LANES];
+        let mut in_window = [false; LANES];
+        for l in 0..LANES {
+            let ([x, y, theta], ok) = model.predict_lane(pose[l], delta, stream(i + l));
+            xs[l] = x;
+            ys[l] = y;
+            thetas[l] = theta;
+            in_window[l] = ok;
+        }
+        for l in 0..LANES {
+            if !in_window[l] {
+                [xs[l], ys[l], thetas[l]] = model.predict_wrapped(pose[l], delta, stream(i + l));
+            }
+            group_x[l] = S::from_f32(xs[l]);
+            group_y[l] = S::from_f32(ys[l]);
+            group_theta[l] = S::from_f32(thetas[l]);
+        }
+        i += LANES;
+    }
+    for j in i..n {
+        let [x, y, theta] = model.predict(
+            [
+                particles.x[j].to_f32(),
+                particles.y[j].to_f32(),
+                particles.theta[j].to_f32(),
+            ],
+            delta,
+            stream(j),
+        );
+        particles.x[j] = S::from_f32(x);
+        particles.y[j] = S::from_f32(y);
+        particles.theta[j] = S::from_f32(theta);
+    }
+}
+
+/// The prediction kernel behind a [`KernelBackend`] selection: `Scalar` runs
+/// the per-particle [`motion_predict`], `Lanes` the lane-group loop, and
+/// `Avx2` the same lane-group loop compiled for AVX2 (on hosts without it,
+/// the `Lanes` build). Each particle's body is four counter-based uniforms
+/// forming two paired Box–Muller draws plus a polynomial `sin_cos` pose
+/// composition (see the [body table](self#kernel-backends-and-the-lane-width-contract));
+/// all three give the same bits.
+pub fn motion_predict_with<S: Scalar>(
+    backend: KernelBackend,
+    particles: ParticleSliceMut<'_, S>,
+    model: &MotionModel,
+    delta: &MotionDelta,
+    seed: u64,
+    update_index: u64,
+    first_index: u64,
+) {
+    match backend {
+        KernelBackend::Scalar => {
+            motion_predict(particles, model, delta, seed, update_index, first_index)
+        }
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx2 if crate::simd::available() => crate::simd::motion_lane_groups(
+            particles,
+            model,
+            delta,
+            seed,
+            update_index,
+            first_index,
+        ),
+        KernelBackend::Lanes | KernelBackend::Avx2 => {
+            motion_lane_groups(particles, model, delta, seed, update_index, first_index)
+        }
+    }
 }
 
 /// Correction kernel, part 1: evaluates the batched beam-end-point model
@@ -1032,6 +1139,48 @@ mod tests {
                 motion_predict(chunk, &model, &delta, 9, 2, start as u64);
             });
             assert_eq!(soa.to_particles(), reference, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn motion_backends_agree_on_out_of_window_lanes() {
+        // Out-of-range stored yaws and huge or non-finite turns, placed both
+        // inside lane groups and in the tail (27 = 3 × 8 + 3), take the
+        // normalize_angle path; every backend must write the scalar bits.
+        let model = MotionModel::new([0.05, 0.05, 0.02]);
+        let bits = |b: &ParticleBuffer<f32>| {
+            b.iter()
+                .map(|p| [p.x.to_bits(), p.y.to_bits(), p.theta.to_bits()])
+                .collect::<Vec<_>>()
+        };
+        let deltas = [
+            MotionDelta::new(0.1, 0.02, 0.05),
+            MotionDelta::new(0.1, 0.02, 1e20),
+            MotionDelta::new(f32::NAN, 0.0, f32::NAN),
+        ];
+        for delta in deltas {
+            let start = || {
+                let mut b = buffer(27);
+                let view = b.as_mut_slice();
+                for (slot, yaw) in [(3, 100.0), (9, -1e9), (17, f32::NAN), (25, 40.0)] {
+                    view.theta[slot] = yaw;
+                }
+                b
+            };
+            let mut reference = start();
+            motion_predict(reference.as_mut_slice(), &model, &delta, 9, 2, 0);
+            for backend in KernelBackend::ALL {
+                let mut moved = start();
+                motion_predict_with(backend, moved.as_mut_slice(), &model, &delta, 9, 2, 0);
+                assert_eq!(bits(&moved), bits(&reference), "{backend:?} {delta:?}");
+            }
+            assert!(reference.theta()[17].is_nan());
+            for (i, &theta) in reference.theta().iter().enumerate() {
+                assert!(
+                    theta.is_nan() || (0.0..core::f32::consts::TAU).contains(&theta),
+                    "{i}: {theta}"
+                );
+            }
         }
     }
 

@@ -1,14 +1,16 @@
 //! Counter-based random number generation for reproducible, parallel sampling.
 //!
-//! The motion model needs three Gaussian samples per particle per update and the
-//! resampler needs a single uniform draw per update. On the GAP9 cluster the
-//! particles are split across eight worker cores; a shared sequential RNG would
-//! either serialize the workers or make results depend on the scheduling order.
-//! The paper's implementation sidesteps this by giving every particle its own
-//! deterministic stream; we do the same with a counter-based generator: the
-//! random numbers for particle `i` at update `t` are a pure function of
-//! `(seed, t, i)`, so sequential and parallel execution produce bit-identical
-//! particle sets (a property the test-suite checks).
+//! The motion model needs three Gaussian samples per particle per update (one
+//! paired Box–Muller draw for the translation, one more for the heading, four
+//! uniforms in all) and the resampler needs a single uniform draw per update.
+//! On the GAP9 cluster the particles are split across eight worker cores; a
+//! shared sequential RNG would either serialize the workers or make results
+//! depend on the scheduling order. The paper's implementation sidesteps this
+//! by giving every particle its own deterministic stream; we do the same with
+//! a counter-based generator: the random numbers for particle `i` at update
+//! `t` are a pure function of `(seed, t, i)`, so sequential and parallel
+//! execution produce bit-identical particle sets (a property the test-suite
+//! checks).
 
 /// A counter-based pseudo random number generator (SplitMix64 over a hashed
 /// counter), giving an independent stream per `(seed, update, particle)` triple.
@@ -19,6 +21,7 @@ pub struct CounterRng {
 
 impl CounterRng {
     /// Creates the stream for `(seed, update_index, particle_index)`.
+    #[inline]
     pub fn for_particle(seed: u64, update_index: u64, particle_index: u64) -> Self {
         // Mix the three inputs with distinct large odd constants before the
         // SplitMix64 scrambler so neighbouring particles get unrelated streams.
@@ -37,6 +40,7 @@ impl CounterRng {
     }
 
     /// Next raw 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -48,6 +52,31 @@ impl CounterRng {
     /// Uniform `f32` in `[0, 1)`.
     pub fn uniform(&mut self) -> f32 {
         (self.next_u64() >> 40) as f32 / (1u64 << 24) as f32
+    }
+
+    /// The next 24 random bits: the integer `k` behind a [`CounterRng::uniform`]
+    /// draw `k / 2²⁴`.
+    #[inline]
+    fn next_u24(&mut self) -> u32 {
+        (self.next_u64() >> 40) as u32
+    }
+
+    /// Two independent samples from `N(0, 1)` out of one uniform pair: both
+    /// outputs `(r·cos φ, r·sin φ)` of the Box–Muller transform.
+    ///
+    /// Unlike [`CounterRng::standard_normal`] this calls no libm function:
+    /// `r = √(−2 ln u₁)` uses the polynomial [`mcl_num::poly::ln`] and the
+    /// angle `φ = 2π·k/2²⁴` of the second draw's 24 bits goes through the
+    /// exactly reduced [`mcl_num::poly::turn_sin_cos`]. The body is
+    /// branch-free single-rounding arithmetic, so the motion kernel's lane
+    /// groups vectorize it and every backend draws the same bits.
+    #[inline(always)]
+    pub(crate) fn normal_pair(&mut self) -> (f32, f32) {
+        // 1 − k/2²⁴ ∈ [2⁻²⁴, 1], exact and never zero, so ln is finite.
+        let u = (16_777_216 - self.next_u24() as i32) as f32 * (1.0 / 16_777_216.0);
+        let radius = (-2.0 * mcl_num::poly::ln(u)).sqrt();
+        let (s, c) = mcl_num::poly::turn_sin_cos(self.next_u24());
+        (radius * c, radius * s)
     }
 
     /// Uniform `f32` in `[low, high)`.

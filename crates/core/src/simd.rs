@@ -1,16 +1,18 @@
-//! The explicit AVX2 body of the [`KernelBackend::Avx2`] observation kernel
-//! (x86-64 only).
+//! The explicit AVX2 body of the [`KernelBackend::Avx2`] observation kernel,
+//! and the AVX2 build of the motion kernel's lane-group loop (x86-64 only).
 //!
 //! [`crate::kernel`]: the `Lanes` backend *shapes* its loops for
 //! autovectorization; this module is the explicit-SIMD counterpart that issues
 //! `core::arch::x86_64` intrinsics directly, so the beam-scoring loop runs
 //! 8×f32 wide regardless of what the autovectorizer decides at the build's
 //! baseline target. It is the only kernel where explicit SIMD measurably pays
-//! over the lane body (see the kernel module's body table). Everything here
-//! is runtime-gated: the kernel checks [`available`] before entering the AVX2
-//! body and runs the lane body otherwise, which keeps non-AVX2 hosts (and
-//! non-x86 builds, where this module does not exist) on the portable path
-//! with identical results.
+//! over the lane body (see the kernel module's body table). The motion
+//! kernel needs no intrinsics: its lane body is branch-free polynomial
+//! arithmetic, and compiling that same source with AVX2 enabled is what
+//! pays there. Everything here is runtime-gated: the kernel checks
+//! [`available`] before entering an AVX2 body and runs the lane body
+//! otherwise, which keeps non-AVX2 hosts (and non-x86 builds, where this
+//! module does not exist) on the portable path with identical results.
 //!
 //! # Bit-identity contract
 //!
@@ -19,8 +21,11 @@
 //! multiply, divide, min — and **never uses FMA**: a fused multiply-add
 //! rounds once where the scalar body rounds twice, which would break the
 //! backend bit-identity contract pinned by
-//! `tests/kernel_backend_equivalence.rs`. The yaw `sin_cos` stays scalar per
-//! lane (a libm call), so the AVX2 kernel cannot diverge on it.
+//! `tests/kernel_backend_equivalence.rs`. The observation yaw `sin_cos`
+//! stays scalar per lane (a libm call), so the AVX2 kernel cannot diverge on
+//! it. Enabling the `avx2` target feature does not enable `fma`, and Rust
+//! never contracts `a*b + c` on its own, so the motion build issues no FMA
+//! either.
 
 // Intrinsics require `unsafe`; this is the one module in the crate allowed to
 // use it. Every unsafe block carries a SAFETY comment discharging the single
@@ -31,8 +36,11 @@
 use core::arch::x86_64::*;
 
 use crate::kernel::LANES;
+use crate::motion::{MotionDelta, MotionModel};
 use crate::observation::BeamEndPointModel;
+use crate::particle::ParticleSliceMut;
 use mcl_gridmap::DistanceField;
+use mcl_num::Scalar;
 use mcl_sensor::BeamBatch;
 
 // The lane kernels and the 256-bit registers must agree on the group width.
@@ -43,6 +51,38 @@ const _: () = assert!(LANES == 8, "the AVX2 body assumes 8 f32 lanes");
 /// atomic load.
 pub(crate) fn available() -> bool {
     is_x86_feature_detected!("avx2")
+}
+
+/// The prediction kernel's lane-group loop
+/// ([`crate::kernel::motion_lane_groups`]) compiled with AVX2 enabled: the
+/// same source, so the same bits, with the lanes issued 8 wide instead of at
+/// the build's baseline width.
+pub(crate) fn motion_lane_groups<S: Scalar>(
+    particles: ParticleSliceMut<'_, S>,
+    model: &MotionModel,
+    delta: &MotionDelta,
+    seed: u64,
+    update_index: u64,
+    first_index: u64,
+) {
+    /// # Safety
+    ///
+    /// Callers must ensure the `avx2` target feature is available.
+    #[target_feature(enable = "avx2")]
+    unsafe fn groups<S: Scalar>(
+        particles: ParticleSliceMut<'_, S>,
+        model: &MotionModel,
+        delta: &MotionDelta,
+        seed: u64,
+        update_index: u64,
+        first_index: u64,
+    ) {
+        crate::kernel::motion_lane_groups(particles, model, delta, seed, update_index, first_index)
+    }
+    assert!(available(), "the AVX2 motion body needs an AVX2 host");
+    // SAFETY: the assertion above checked that the CPU supports AVX2, the
+    // only feature `groups` is compiled for.
+    unsafe { groups(particles, model, delta, seed, update_index, first_index) }
 }
 
 /// Scores one [`LANES`]-wide group of particle poses against a beam batch —

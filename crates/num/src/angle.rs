@@ -38,6 +38,38 @@ pub fn normalize_angle(angle: f32) -> f32 {
     a
 }
 
+/// Wraps an angle into `[0, 2π)` with one branch-free `±2π` select, and
+/// reports whether that one step was enough.
+///
+/// When the flag is `true` the result is bit-identical to
+/// [`normalize_angle`]. That holds for every angle in `(−2π, 4π)` except the
+/// negative angles so close to zero that `angle + 2π` rounds up to 2π. The
+/// flag is `false` for those, for angles outside that window and for NaN;
+/// callers then fall back to [`normalize_angle`]. A heading plus a bounded
+/// turn always lands in the window, so the vectorized motion kernel wraps
+/// with this select and takes the `fmod` only on the rare flagged lane.
+///
+/// # Example
+///
+/// ```
+/// use mcl_num::{normalize_angle, wrap_angle_once};
+/// use core::f32::consts::TAU;
+/// assert_eq!(wrap_angle_once(TAU + 0.5), (normalize_angle(TAU + 0.5), true));
+/// assert_eq!(wrap_angle_once(-0.5), (normalize_angle(-0.5), true));
+/// assert!(!wrap_angle_once(3.0 * TAU).1);
+/// ```
+#[inline(always)]
+pub fn wrap_angle_once(angle: f32) -> (f32, bool) {
+    let wrapped = if angle < 0.0 {
+        angle + TAU
+    } else if angle >= TAU {
+        angle - TAU
+    } else {
+        angle
+    };
+    (wrapped, angle > -TAU && wrapped < TAU)
+}
+
 /// Signed shortest angular difference `a − b`, in `(−π, π]`.
 ///
 /// The magnitude of the result is the rotation needed to turn heading `b` into
@@ -119,6 +151,44 @@ mod tests {
             let wrapped = normalize_angle(base + k as f32 * TAU);
             assert!((wrapped - base).abs() < 1e-4, "k={k} wrapped={wrapped}");
         }
+    }
+
+    #[test]
+    fn one_step_wrap_matches_normalize_inside_its_window() {
+        let steps = 300_000;
+        let edges = [
+            TAU,
+            f32::from_bits(TAU.to_bits() - 1),
+            f32::from_bits((2.0 * TAU).to_bits() - 1),
+            f32::from_bits(TAU.to_bits() - 1) - TAU,
+            -f32::from_bits(TAU.to_bits() - 1),
+        ];
+        let grid = (0..=steps).map(|i| -TAU + 3.0 * TAU * i as f32 / steps as f32);
+        for angle in grid.chain(edges) {
+            let (wrapped, exact) = wrap_angle_once(angle);
+            if exact {
+                assert_eq!(
+                    wrapped.to_bits(),
+                    normalize_angle(angle).to_bits(),
+                    "{angle}"
+                );
+            } else {
+                // Only the window's ends and the round-up edge just below
+                // zero leave the window.
+                assert!(
+                    angle <= -TAU || angle >= 2.0 * TAU || (angle < 0.0 && angle + TAU == TAU),
+                    "{angle}"
+                );
+            }
+        }
+        // -0.0 keeps its sign, exactly as normalize_angle does.
+        assert_eq!(wrap_angle_once(-0.0).0.to_bits(), (-0.0f32).to_bits());
+        assert_eq!(wrap_angle_once(-1e-30), (TAU, false));
+        for outside in [2.0 * TAU, 1e30, -1e30, f32::INFINITY, f32::NEG_INFINITY] {
+            assert!(!wrap_angle_once(outside).1, "{outside}");
+        }
+        assert!(!wrap_angle_once(f32::NAN).1);
+        assert!(wrap_angle_once(f32::NAN).0.is_nan());
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //!   evaluation metrics (ATE, success rate, convergence probability).
 //! * [`angle`] — angle wrapping and circular means used by the motion model and
 //!   the weighted-average pose computation.
+//! * [`poly`] — branch-free polynomial `ln` and `sin`/`cos` that vectorize,
+//!   used by the motion kernel's Gaussian draws and heading rotation.
 //!
 //! # Example
 //!
@@ -44,11 +46,12 @@
 
 pub mod angle;
 pub mod f16;
+pub mod poly;
 pub mod quant;
 pub mod scalar;
 pub mod stats;
 
-pub use angle::{angular_difference, normalize_angle, weighted_circular_mean};
+pub use angle::{angular_difference, normalize_angle, weighted_circular_mean, wrap_angle_once};
 pub use f16::F16;
 pub use quant::{QuantError, Quantizer};
 pub use scalar::Scalar;

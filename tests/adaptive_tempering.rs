@@ -40,9 +40,12 @@ fn floored(floor: f32) -> AdaptiveConfig {
 }
 
 /// Captures the PR 8 tail on a reproducible instance (paper world 100,
-/// filter seed 4): the unfloored adaptive leg converges early onto a
-/// degraded mode and finishes with roughly 3× the fixed baseline's ATE,
+/// filter seed 11): the unfloored adaptive leg converges early onto a
+/// degraded mode and finishes with roughly 2.3× the fixed baseline's ATE,
 /// while a β floor of 0.5 restores parity with fixed on the same flight.
+/// The instance is rare: `explore_floor_sweep` finds it in 1 of its 64
+/// (world, seed) instances, so a change to the motion noise stream re-pins
+/// it from that sweep.
 /// Every run here is bit-deterministic (counter-based RNG, schedule- and
 /// backend-independent kernels), so the thresholds are exact replay pins,
 /// not statistical hopes.
@@ -50,7 +53,7 @@ fn floored(floor: f32) -> AdaptiveConfig {
 fn beta_floor_recovers_the_wrong_mode_commitment_on_global_init() {
     let scenario = PaperScenario::with_settings(100, 1, FLIGHT_S);
     let sequence = &scenario.sequences()[0];
-    let seed = 4;
+    let seed = 11;
 
     let fixed = scenario.evaluate(sequence, PipelineConfig::FP32, PARTICLES, seed);
     let unfloored = run_adaptive(&scenario, sequence, seed, floored(0.0));
@@ -110,23 +113,38 @@ fn default_keeps_tempering_unchanged_and_non_binding_floors_are_bit_identical() 
 #[test]
 #[ignore = "exploration harness: sweeps floors x seeds and prints the table"]
 fn explore_floor_sweep() {
-    for world_seed in [100u64, 200] {
+    let mut hits = 0;
+    let mut instances = 0;
+    for world_seed in [100u64, 200, 300, 400] {
         let scenario = PaperScenario::with_settings(world_seed, 1, FLIGHT_S);
         let sequence = &scenario.sequences()[0];
-        for seed in 1..=6u64 {
+        for seed in 1..=16u64 {
             let fixed = scenario.evaluate(sequence, PipelineConfig::FP32, PARTICLES, seed);
             print!(
                 "world {world_seed} seed {seed}: fixed ate={:?} conv={:?} |",
                 fixed.ate_m, fixed.convergence_time_s
             );
+            let mut ates = Vec::new();
             for floor in [0.0f32, 0.25, 0.35, 0.5] {
                 let r = run_adaptive(&scenario, sequence, seed, floored(floor));
                 print!(
                     " f{floor}: ate={:?} conv={:?} mp={:.0}",
                     r.ate_m, r.convergence_time_s, r.mean_particles
                 );
+                ates.push(r.ate_m);
+            }
+            // The three pins of the regression test above.
+            let hit = match (fixed.ate_m, ates[0], ates[3]) {
+                (Some(f), Some(u), Some(w)) => u > 2.0 * f && w < 1.3 * f && w < 0.5 * u,
+                _ => false,
+            };
+            instances += 1;
+            if hit {
+                hits += 1;
+                print!(" <- reproduces");
             }
             println!();
         }
     }
+    println!("{hits} of {instances} instances reproduce the wrong-mode commitment");
 }
