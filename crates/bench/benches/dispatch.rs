@@ -15,11 +15,8 @@
 //!   time-slice one core and the ratio sits near 1×, which the archived JSON
 //!   reports honestly.
 //! * `dispatch_overhead` — the publish/claim round trip of one pool dispatch
-//!   against the same loop run inline: the host-side cost the
-//!   `mcl_gap9::DispatchModel::WorkStealing` constants
-//!   (`injector_publish_cycles`, `steal_cycles_per_worker`) are calibrated
-//!   from (host ns × 0.4 GHz ≈ GAP9 cycles at 400 MHz, same scaling as the
-//!   spawn-model calibration).
+//!   against the same loop run inline: the host-side cost of handing one
+//!   kernel to the shared job queue.
 //!
 //! Both groups emit JSON lines under `MCL_BENCH_JSON` and are archived into
 //! `BENCH_kernels.json` by the CI bench-smoke job, which runs them with

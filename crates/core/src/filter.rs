@@ -22,14 +22,15 @@
 //! an `mcl_sim::run_batch` worker, automatically runs its kernels inline
 //! instead of oversubscribing the host). The beams of the observation arrive
 //! flattened into a [`BeamBatch`](mcl_sensor::BeamBatch) **once per update**; a batch partitioned
-//! for the configured `r_max` makes the correction loop body branch-free. When the
+//! for the configured `r_max` lets the correction kernel borrow its in-range
+//! prefix instead of copying the in-range end points per kernel call. When the
 //! batch carries anchor ranges, the anchor-range kernel *adds* its per-sensor
 //! log-likelihoods into the same per-particle accumulator the beam kernel
 //! fills, so the correct step stays one reweight pass regardless of how many
 //! sensor modalities contributed. Per-update scratch buffers
-//! (log-likelihoods, f32 weights) are reused across updates, so the
-//! steady-state hot path performs no heap allocation beyond the resampling
-//! plan.
+//! (log-likelihoods, f32 weights) are reused across updates, so with a
+//! partitioned batch the steady-state hot path performs no heap allocation
+//! beyond the resampling plan.
 
 use crate::adaptive::{self, AdaptiveState};
 use crate::config::{MclConfig, MclError};
@@ -269,9 +270,10 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
     /// are skipped, never propagated.
     ///
     /// Callers that [partition](mcl_sensor::BeamBatch::partition_in_range) the beam block
-    /// for this filter's `r_max` get the branch-free correction loop; an
-    /// unpartitioned batch is scored through the (bit-identical) per-beam
-    /// range test.
+    /// for this filter's `r_max` let the correction kernel borrow the
+    /// in-range prefix; an unpartitioned batch is scored from an owned copy
+    /// of its in-range end points, taken once per kernel call. Both give the
+    /// same bits (see [`mcl_sensor::BeamBatch::in_range_slices`]).
     ///
     /// # Errors
     ///
@@ -469,9 +471,7 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
             // usable anchor ranges that also contributed log-likelihood
             // mass. Integer-only, so the beam-only value is unchanged from
             // the pre-fusion behaviour.
-            let observations_used = batch
-                .in_range_prefix(self.config.r_max)
-                .unwrap_or_else(|| batch.len())
+            let observations_used = batch.in_range_slices(self.config.r_max).0.len()
                 + observations.usable_anchor_count();
             let beams = observations_used.max(1);
             let mean = if max_log.is_finite() {
@@ -838,35 +838,57 @@ mod tests {
 
     #[test]
     fn beam_and_batch_entry_points_agree_exactly() {
+        // Partitioned (borrowed in-range prefix) vs unpartitioned (owned
+        // in-range copy) beam blocks must drive the filter identically — in
+        // adaptive mode too, where the likelihood monitor normalizes by the
+        // number of beams that counted.
         let map = arena();
-        let mut via_beams = MonteCarloLocalization::<f32, _>::new(config(256), edt(&map)).unwrap();
-        let mut via_batch = MonteCarloLocalization::<f32, _>::new(config(256), edt(&map)).unwrap();
-        via_beams.initialize_uniform(&map, 7).unwrap();
-        via_batch.initialize_uniform(&map, 7).unwrap();
-        let rig = rig();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let mut truth = Pose2::new(1.0, 1.0, 0.0);
-        for step in 0..5 {
-            let next = truth.compose(&Pose2::new(0.12, 0.0, 0.05));
-            let delta = MotionDelta::between(&truth, &next);
-            truth = next;
-            let beams = rig.observe(&map, &truth, step as f64 / 15.0, &mut rng);
-            via_beams.predict(delta);
-            via_batch.predict(delta);
-            // Partitioned (branch-free prefix) vs unpartitioned (per-beam
-            // range test) beam blocks score bit-identically.
-            let a = via_beams
-                .update_observations(&beam_only(&beams, via_beams.config().r_max))
-                .unwrap();
-            let b = via_batch
-                .update_observations(&ObservationBatch::from_beams(&beams))
-                .unwrap();
-            assert_eq!(a, b);
+        for adaptive in [false, true] {
+            let cfg = if adaptive {
+                config(256).with_adaptive(AdaptiveConfig::enabled())
+            } else {
+                config(256)
+            };
+            let r_max = cfg.r_max;
+            let mut via_beams = MonteCarloLocalization::<f32, _>::new(cfg, edt(&map)).unwrap();
+            let mut via_batch = MonteCarloLocalization::<f32, _>::new(cfg, edt(&map)).unwrap();
+            via_beams.initialize_uniform(&map, 7).unwrap();
+            via_batch.initialize_uniform(&map, 7).unwrap();
+            let rig = rig();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+            let mut truth = Pose2::new(1.0, 1.0, 0.0);
+            let mut beyond_r_max = 0usize;
+            for step in 0..5 {
+                let next = truth.compose(&Pose2::new(0.12, 0.0, 0.05));
+                let delta = MotionDelta::between(&truth, &next);
+                truth = next;
+                let beams = rig.observe(&map, &truth, step as f64 / 15.0, &mut rng);
+                beyond_r_max += beams.iter().filter(|b| b.range_m >= r_max).count();
+                via_beams.predict(delta);
+                via_batch.predict(delta);
+                let a = via_beams
+                    .update_observations(&beam_only(&beams, r_max))
+                    .unwrap();
+                let b = via_batch
+                    .update_observations(&ObservationBatch::from_beams(&beams))
+                    .unwrap();
+                assert_eq!(a, b, "adaptive={adaptive} step={step}");
+            }
+            // The two batch forms differ only if some beam is dropped.
+            assert!(beyond_r_max > 0, "no beam at or beyond r_max");
+            assert_eq!(
+                via_beams.particles().current(),
+                via_batch.particles().current(),
+                "adaptive={adaptive}"
+            );
+            assert_eq!(via_beams.counters(), via_batch.counters());
+            if adaptive {
+                let a = &via_beams.adaptive_state().unwrap().monitor;
+                let b = &via_batch.adaptive_state().unwrap().monitor;
+                assert_eq!(a.short_term().to_bits(), b.short_term().to_bits());
+                assert_eq!(a.long_term().to_bits(), b.long_term().to_bits());
+            }
         }
-        assert_eq!(
-            via_beams.particles().current(),
-            via_batch.particles().current()
-        );
     }
 
     #[test]

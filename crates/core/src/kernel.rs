@@ -72,6 +72,13 @@
 //! (1.05–1.25× over scalar here) is borderline; it is kept on its seed-7
 //! rows (1.26× / 1.33×).
 //!
+//! The observation kernel decides which beams count once per call:
+//! [`BeamBatch::in_range_slices`] resolves the end points of the beams
+//! measuring below the model's `r_max` (borrowing the prefix of a batch
+//! [partitioned](BeamBatch::partition_in_range) for it, copying otherwise),
+//! and each of its three bodies scores every resolved end point with the
+//! model's one Eq. 1 log-term — no body reads a range or tests one.
+//!
 //! * `Lanes` bodies process the SoA component arrays in fixed [`LANES`]-wide
 //!   groups of straight-line array arithmetic the compiler can autovectorize
 //!   (the shape of the paper's GAP9 fp16-SIMD inner loops), followed by a
@@ -122,7 +129,7 @@ use crate::particle::{ParticleBuffer, ParticleSlice, ParticleSliceMut};
 use crate::rng::CounterRng;
 use mcl_gridmap::{DistanceField, Pose2};
 use mcl_num::{angular_difference, normalize_angle, Scalar};
-use mcl_sensor::{BeamBatch, ObservationBatch};
+use mcl_sensor::{anchor_is_usable, BeamBatch, ObservationBatch};
 use serde::{Deserialize, Serialize};
 
 /// Number of `f32` lanes one lane-group body of the [`KernelBackend::Lanes`]
@@ -402,7 +409,8 @@ pub fn motion_predict_with<S: Scalar>(
 
 /// Correction kernel, part 1: evaluates the batched beam-end-point model
 /// (Eq. 1) for every particle of the chunk, writing one log-likelihood per
-/// particle into `out`.
+/// particle into `out` — the scalar body of
+/// [`observation_log_likelihoods_with`].
 ///
 /// # Panics
 ///
@@ -414,32 +422,22 @@ pub fn observation_log_likelihoods<S: Scalar, D: DistanceField + ?Sized>(
     batch: &BeamBatch,
     out: &mut [f32],
 ) {
-    assert!(out.len() >= particles.len(), "output chunk too short");
-    for (i, slot) in out[..particles.len()].iter_mut().enumerate() {
-        *slot = model.batch_log_likelihood(
-            field,
-            particles.x[i].to_f32(),
-            particles.y[i].to_f32(),
-            particles.theta[i].to_f32(),
-            batch,
-        );
-    }
+    observation_log_likelihoods_with(KernelBackend::Scalar, particles, field, model, batch, out)
 }
 
 /// The lane-group loop shared by the `Lanes` and `Avx2` observation bodies:
 /// gathers each [`LANES`]-wide pose group out of the SoA arrays, hands it to
-/// `score_group`, and scores the `len % LANES` tail with the scalar
-/// reference. The two backends differ only in the group scorer.
+/// `score_group`, and scores the `len % LANES` tail with the scalar body.
+/// The two backends differ only in the group scorer.
 fn observation_lane_groups<S: Scalar, D: DistanceField + ?Sized>(
     particles: ParticleSlice<'_, S>,
     field: &D,
     model: &BeamEndPointModel,
-    batch: &BeamBatch,
+    (end_x, end_y): (&[f32], &[f32]),
     out: &mut [f32],
     score_group: impl Fn(&[f32; LANES], &[f32; LANES], &[f32; LANES], &mut [f32; LANES]),
 ) {
     let n = particles.len();
-    assert!(out.len() >= n, "output chunk too short");
     let mut i = 0usize;
     while i + LANES <= n {
         let mut xs = [0.0f32; LANES];
@@ -456,24 +454,76 @@ fn observation_lane_groups<S: Scalar, D: DistanceField + ?Sized>(
         i += LANES;
     }
     for (j, slot) in out[..n].iter_mut().enumerate().skip(i) {
-        *slot = model.batch_log_likelihood(
+        *slot = model.end_points_log_likelihood(
             field,
             particles.x[j].to_f32(),
             particles.y[j].to_f32(),
             particles.theta[j].to_f32(),
-            batch,
+            end_x,
+            end_y,
         );
     }
 }
 
-/// The first correction kernel behind a [`KernelBackend`] selection — the
-/// one kernel with all three bodies:
+/// The `Lanes` group body of the observation kernel: scores one
+/// [`LANES`]-wide group of particle poses against every in-range end point.
 ///
-/// * `Scalar` runs [`observation_log_likelihoods`];
-/// * `Lanes` scores each pose group through
-///   [`BeamEndPointModel::batch_log_likelihood_lanes`], which vectorizes the
-///   body→world rotation, the world→cell divisions of the EDT lookup and the
-///   log-term accumulation across the lanes;
+/// Per lane the arithmetic is the exact op order of the scalar body — one
+/// `sin_cos` of the lane's yaw, then per beam the body→world rotation, the
+/// distance-field lookup and [`BeamEndPointModel::log_term`] accumulated in
+/// beam order — so every lane's score is **bit-identical** to it. The lane
+/// structure only changes what the compiler can do with it: the rotation,
+/// the lookup's world→cell divisions
+/// ([`DistanceField::distances_at_world_lanes`]) and the accumulation become
+/// straight-line loops over fixed-width arrays that vectorize.
+#[allow(clippy::too_many_arguments)] // the full lane-group register set
+fn score_lane_group<D: DistanceField + ?Sized>(
+    model: &BeamEndPointModel,
+    field: &D,
+    x: &[f32; LANES],
+    y: &[f32; LANES],
+    theta: &[f32; LANES],
+    end_x: &[f32],
+    end_y: &[f32],
+    out: &mut [f32; LANES],
+) {
+    let mut sin_t = [0.0f32; LANES];
+    let mut cos_t = [0.0f32; LANES];
+    for l in 0..LANES {
+        let (s, c) = theta[l].sin_cos();
+        sin_t[l] = s;
+        cos_t[l] = c;
+    }
+    let mut log_sum = [0.0f32; LANES];
+    for (&bx, &by) in end_x.iter().zip(end_y) {
+        let mut ex = [0.0f32; LANES];
+        let mut ey = [0.0f32; LANES];
+        for l in 0..LANES {
+            ex[l] = x[l] + cos_t[l] * bx - sin_t[l] * by;
+            ey[l] = y[l] + sin_t[l] * bx + cos_t[l] * by;
+        }
+        let mut edt = [0.0f32; LANES];
+        field.distances_at_world_lanes(&ex, &ey, &mut edt);
+        for l in 0..LANES {
+            log_sum[l] += model.log_term(edt[l]);
+        }
+    }
+    *out = log_sum;
+}
+
+/// The first correction kernel behind a [`KernelBackend`] selection — the
+/// one kernel with all three bodies. The chunk's in-range end points are
+/// resolved once per call through [`BeamBatch::in_range_slices`] (borrowed
+/// when the batch was [partitioned](BeamBatch::partition_in_range) for the
+/// model's `r_max`, an owned copy otherwise), and every body scores each of
+/// them with no range test:
+///
+/// * `Scalar` runs one per-particle loop (the body of
+///   [`BeamEndPointModel::batch_log_likelihood`]);
+/// * `Lanes` scores each [`LANES`]-wide pose group at once, which vectorizes
+///   the body→world rotation, the world→cell divisions of the EDT lookup and
+///   the log-term accumulation across the lanes, and scores the
+///   `len % LANES` tail with the scalar body;
 /// * `Avx2` keeps the pose registers, the per-beam rotation and the Eq. 1
 ///   accumulation in 8×f32 AVX2 registers and gathers the EDT lookups on
 ///   AVX2-capable fields. Without AVX2 (checked at runtime) and on non-x86
@@ -494,17 +544,31 @@ pub fn observation_log_likelihoods_with<S: Scalar, D: DistanceField + ?Sized>(
     batch: &BeamBatch,
     out: &mut [f32],
 ) {
+    assert!(out.len() >= particles.len(), "output chunk too short");
+    let (end_x, end_y) = batch.in_range_slices(model.r_max());
+    let ends = (&*end_x, &*end_y);
     match backend {
-        KernelBackend::Scalar => observation_log_likelihoods(particles, field, model, batch, out),
+        KernelBackend::Scalar => {
+            for (i, slot) in out[..particles.len()].iter_mut().enumerate() {
+                *slot = model.end_points_log_likelihood(
+                    field,
+                    particles.x[i].to_f32(),
+                    particles.y[i].to_f32(),
+                    particles.theta[i].to_f32(),
+                    ends.0,
+                    ends.1,
+                );
+            }
+        }
         #[cfg(target_arch = "x86_64")]
         KernelBackend::Avx2 if crate::simd::available() => {
-            observation_lane_groups(particles, field, model, batch, out, |x, y, theta, group| {
-                crate::simd::score_pose_group(model, field, x, y, theta, batch, group)
+            observation_lane_groups(particles, field, model, ends, out, |x, y, theta, group| {
+                crate::simd::score_pose_group(model, field, x, y, theta, ends.0, ends.1, group)
             })
         }
         KernelBackend::Lanes | KernelBackend::Avx2 => {
-            observation_lane_groups(particles, field, model, batch, out, |x, y, theta, group| {
-                model.batch_log_likelihood_lanes(field, x, y, theta, batch, group)
+            observation_lane_groups(particles, field, model, ends, out, |x, y, theta, group| {
+                score_lane_group(model, field, x, y, theta, ends.0, ends.1, group)
             })
         }
     }
@@ -538,10 +602,12 @@ pub fn anchor_log_likelihoods<S: Scalar>(
     }
 }
 
-/// Lane-batched twin of [`anchor_log_likelihoods`]: scores the chunk in
-/// [`LANES`]-wide position groups through
-/// [`AnchorRangeModel::batch_log_likelihood_lanes`], with a scalar-reference
-/// tail. Bit-identical to [`anchor_log_likelihoods`].
+/// Lane-batched body of [`anchor_log_likelihoods`]: scores the chunk in
+/// [`LANES`]-wide position groups, each lane summing
+/// [`AnchorRangeModel::residual_log_term`] over the usable anchors in anchor
+/// order (the straight-line residual arithmetic vectorizes across the
+/// lanes), with a scalar-reference tail. Bit-identical to
+/// [`anchor_log_likelihoods`].
 fn anchor_log_likelihoods_lanes<S: Scalar>(
     particles: ParticleSlice<'_, S>,
     model: &AnchorRangeModel,
@@ -550,6 +616,8 @@ fn anchor_log_likelihoods_lanes<S: Scalar>(
 ) {
     let n = particles.len();
     assert!(out.len() >= n, "output chunk too short");
+    let anchor_x = batch.anchor_x_m();
+    let anchor_y = batch.anchor_y_m();
     let mut i = 0usize;
     while i + LANES <= n {
         let mut xs = [0.0f32; LANES];
@@ -558,10 +626,18 @@ fn anchor_log_likelihoods_lanes<S: Scalar>(
             xs[l] = particles.x[i + l].to_f32();
             ys[l] = particles.y[i + l].to_f32();
         }
-        let mut lane_out = [0.0f32; LANES];
-        model.batch_log_likelihood_lanes(&xs, &ys, batch, &mut lane_out);
+        let mut log_sum = [0.0f32; LANES];
+        for (k, &z) in batch.anchor_range_m().iter().enumerate() {
+            let (ax, ay) = (anchor_x[k], anchor_y[k]);
+            if !anchor_is_usable(ax, ay, z) {
+                continue;
+            }
+            for l in 0..LANES {
+                log_sum[l] += model.residual_log_term(xs[l], ys[l], ax, ay, z);
+            }
+        }
         for l in 0..LANES {
-            out[i + l] += lane_out[l];
+            out[i + l] += log_sum[l];
         }
         i += LANES;
     }
@@ -1331,9 +1407,9 @@ mod tests {
         let run = |backend: KernelBackend| {
             let mut particles = buffer(n);
             motion_predict_with(backend, particles.as_mut_slice(), &model, &delta, 9, 2, 0);
-            // Score through both batch shapes: the raw batch exercises the
-            // NaN-skipping fallback beam loop, the partitioned batch the
-            // branch-free in-range prefix.
+            // Score through both batch shapes: the raw batch is scored from
+            // an owned in-range copy, the partitioned batch from the
+            // borrowed in-range prefix.
             let mut logs = vec![0.0f32; 2 * n];
             for (partitioned, out) in [false, true].into_iter().zip(logs.chunks_mut(n)) {
                 let mut batch = BeamBatch::from_beams(&beams);

@@ -16,9 +16,7 @@
 //! and measured ranges at or beyond `r_max` are skipped here, matching the
 //! truncated field.
 
-use crate::particle::Particle;
 use mcl_gridmap::DistanceField;
-use mcl_num::Scalar;
 use mcl_sensor::{anchor_is_usable, Beam, BeamBatch, ObservationBatch};
 
 /// The beam-end-point likelihood model of Eq. 1.
@@ -66,11 +64,21 @@ impl BeamEndPointModel {
         self.log_normalizer
     }
 
+    /// The Eq. 1 log-term of one beam whose end point lies `edt` metres from
+    /// the nearest obstacle, with the distance truncated at `r_max`. Every
+    /// scalar and lane scoring body evaluates exactly this expression per
+    /// beam; the explicit-SIMD body issues the same ops in the same order.
+    #[inline(always)]
+    pub(crate) fn log_term(&self, edt: f32) -> f32 {
+        let d = edt.min(self.r_max);
+        self.log_normalizer - (d * d) / (2.0 * self.sigma_obs * self.sigma_obs)
+    }
+
     /// Log-likelihood of a single beam for a particle at `pose`.
     ///
     /// Returns `None` when the beam is skipped — a beam is scored only when
     /// its measured range is strictly below `r_max` (so a NaN range is
-    /// skipped too, matching [`BeamBatch::partition_in_range`]'s predicate).
+    /// skipped too, matching [`BeamBatch::in_range_slices`]).
     pub fn beam_log_likelihood<D: DistanceField + ?Sized>(
         &self,
         field: &D,
@@ -81,16 +89,15 @@ impl BeamEndPointModel {
             return None;
         }
         let end = beam.end_point(pose);
-        let edt = field.distance_at_world(end.x, end.y).min(self.r_max);
-        Some(self.log_normalizer - (edt * edt) / (2.0 * self.sigma_obs * self.sigma_obs))
+        Some(self.log_term(field.distance_at_world(end.x, end.y)))
     }
 
     /// Log-likelihood of a full observation `z_t` for a particle at `pose`: the
     /// sum of the per-beam log-likelihoods of Eq. 1.
     ///
-    /// When every beam is skipped the method returns 0.0 (likelihood 1), leaving
-    /// the particle's weight untouched — with no usable information the posterior
-    /// equals the prior.
+    /// When every beam is skipped the sum is 0.0 (likelihood 1), leaving the
+    /// particle's weight untouched — with no usable information the
+    /// posterior equals the prior.
     ///
     /// The filter exponentiates these values only after subtracting the maximum
     /// across the particle set, so sharp observation models (small `σ_obs`) never
@@ -102,23 +109,18 @@ impl BeamEndPointModel {
         beams: &[Beam],
     ) -> f32 {
         let mut log_sum = 0.0f32;
-        let mut used = 0usize;
         for beam in beams {
             if let Some(ll) = self.beam_log_likelihood(field, pose, beam) {
                 log_sum += ll;
-                used += 1;
             }
-        }
-        if used == 0 {
-            return 0.0;
         }
         log_sum
     }
 
     /// Log-likelihood of a full observation for a particle pose given as raw
     /// `f32` components, scored against a pre-flattened [`BeamBatch`] — the
-    /// batched form of Eq. 1 the correction kernel
-    /// ([`crate::kernel::observation_log_likelihoods`]) evaluates.
+    /// per-pose reference of the correction kernel
+    /// ([`crate::kernel::observation_log_likelihoods`]).
     ///
     /// The batch stores each beam's end point in the drone *body* frame, so
     /// scoring one particle costs a single `sin_cos` of the particle yaw plus
@@ -128,15 +130,14 @@ impl BeamEndPointModel {
     /// differently, so the result can differ from
     /// [`BeamEndPointModel::observation_log_likelihood`] in the last ulp.
     ///
-    /// Beams at or beyond `r_max` are skipped exactly like the per-beam path;
-    /// when every beam is skipped the method returns 0.0 (likelihood 1).
-    ///
-    /// When the batch was [partitioned](BeamBatch::partition_in_range) for
-    /// this model's `r_max` (the filter does so once per update), the loop
-    /// runs over the in-range prefix with a **branch-free** body — no range
-    /// test per particle per beam. The partition is stable, so the sum
-    /// associates identically and the score is bit-identical to the skipping
-    /// fallback below.
+    /// Only the beams [`BeamBatch::in_range_slices`] resolves for this
+    /// model's `r_max` are scored, so beams at or beyond `r_max` (and NaN
+    /// ranges) are skipped exactly like the per-beam path; when none is left
+    /// the sum is 0.0 (likelihood 1). A batch
+    /// [partitioned](BeamBatch::partition_in_range) for this `r_max` is
+    /// scored from its borrowed prefix, any other batch from an owned copy;
+    /// both hold the same end points in the same order, so the score is
+    /// bit-identical.
     pub fn batch_log_likelihood<D: DistanceField + ?Sized>(
         &self,
         field: &D,
@@ -145,197 +146,32 @@ impl BeamEndPointModel {
         theta: f32,
         batch: &BeamBatch,
     ) -> f32 {
+        let (end_x, end_y) = batch.in_range_slices(self.r_max);
+        self.end_points_log_likelihood(field, x, y, theta, &end_x, &end_y)
+    }
+
+    /// The scalar scoring body: the sum of the Eq. 1 log-terms of **every**
+    /// body-frame end point `(end_x[i], end_y[i])` for a particle at
+    /// `(x, y, theta)`, in order. The caller passes the already resolved
+    /// in-range end points ([`BeamBatch::in_range_slices`]); the body tests
+    /// no range.
+    pub(crate) fn end_points_log_likelihood<D: DistanceField + ?Sized>(
+        &self,
+        field: &D,
+        x: f32,
+        y: f32,
+        theta: f32,
+        end_x: &[f32],
+        end_y: &[f32],
+    ) -> f32 {
         let (sin_t, cos_t) = theta.sin_cos();
-        let end_x = batch.end_x_body();
-        let end_y = batch.end_y_body();
-        if let Some(prefix) = batch.in_range_prefix(self.r_max) {
-            if prefix == 0 {
-                return 0.0;
-            }
-            let mut log_sum = 0.0f32;
-            for i in 0..prefix {
-                let bx = end_x[i];
-                let by = end_y[i];
-                let ex = x + cos_t * bx - sin_t * by;
-                let ey = y + sin_t * bx + cos_t * by;
-                let edt = field.distance_at_world(ex, ey).min(self.r_max);
-                log_sum +=
-                    self.log_normalizer - (edt * edt) / (2.0 * self.sigma_obs * self.sigma_obs);
-            }
-            return log_sum;
-        }
         let mut log_sum = 0.0f32;
-        let mut used = 0usize;
-        for (i, &range) in batch.range_m().iter().enumerate() {
-            // Score exactly the beams the partition keeps (`range < r_max`):
-            // a NaN range is skipped on both paths, not just the prefix one.
-            if range.is_nan() || range >= self.r_max {
-                continue;
-            }
-            let bx = end_x[i];
-            let by = end_y[i];
+        for (&bx, &by) in end_x.iter().zip(end_y) {
             let ex = x + cos_t * bx - sin_t * by;
             let ey = y + sin_t * bx + cos_t * by;
-            let edt = field.distance_at_world(ex, ey).min(self.r_max);
-            log_sum += self.log_normalizer - (edt * edt) / (2.0 * self.sigma_obs * self.sigma_obs);
-            used += 1;
-        }
-        if used == 0 {
-            return 0.0;
+            log_sum += self.log_term(field.distance_at_world(ex, ey));
         }
         log_sum
-    }
-
-    /// Lane-batched twin of [`BeamEndPointModel::batch_log_likelihood`]: scores
-    /// one [`LANES`](crate::kernel::LANES)-wide group of particle poses at once
-    /// against a pre-flattened [`BeamBatch`].
-    ///
-    /// Per lane the arithmetic is the exact per-particle op order of the
-    /// scalar path — one `sin_cos` of the lane's yaw, then per beam the
-    /// body→world rotation, the truncated distance-field lookup and the Eq. 1
-    /// log-term accumulated in beam order — so every lane's score is
-    /// **bit-identical** to the scalar entry point. The lane structure only
-    /// changes what the compiler can do with it: the rotation, the lookup's
-    /// world→cell divisions ([`DistanceField::distances_at_world_lanes`]) and
-    /// the accumulation become straight-line loops over fixed-width arrays
-    /// that vectorize, instead of one serial chain per particle.
-    ///
-    /// When the batch was [partitioned](BeamBatch::partition_in_range) for
-    /// this model's `r_max` the loop runs branch-free over the in-range
-    /// prefix, resolved **once per lane group** via
-    /// [`BeamBatch::in_range_slices`]; otherwise every beam pays the same
-    /// skipping predicate as the scalar fallback (which also skips NaN
-    /// ranges). When every beam is skipped, all lanes score 0.0.
-    pub fn batch_log_likelihood_lanes<D: DistanceField + ?Sized>(
-        &self,
-        field: &D,
-        x: &[f32; crate::kernel::LANES],
-        y: &[f32; crate::kernel::LANES],
-        theta: &[f32; crate::kernel::LANES],
-        batch: &BeamBatch,
-        out: &mut [f32; crate::kernel::LANES],
-    ) {
-        const LANES: usize = crate::kernel::LANES;
-
-        /// The per-beam lane body: rotate the body-frame end point into each
-        /// lane's world frame, look the lane group up in the field,
-        /// accumulate. Evaluation order per lane matches the scalar loop
-        /// exactly. Forced inline so the rotation, the lookup's hoisted
-        /// divides and the accumulation fuse into one straight-line block per
-        /// beam.
-        #[inline(always)]
-        #[allow(clippy::too_many_arguments)] // the full lane-group register set
-        fn score_beam<D: DistanceField + ?Sized>(
-            model: &BeamEndPointModel,
-            field: &D,
-            x: &[f32; LANES],
-            y: &[f32; LANES],
-            sin_t: &[f32; LANES],
-            cos_t: &[f32; LANES],
-            bx: f32,
-            by: f32,
-            log_sum: &mut [f32; LANES],
-        ) {
-            let mut ex = [0.0f32; LANES];
-            let mut ey = [0.0f32; LANES];
-            for l in 0..LANES {
-                ex[l] = x[l] + cos_t[l] * bx - sin_t[l] * by;
-                ey[l] = y[l] + sin_t[l] * bx + cos_t[l] * by;
-            }
-            let mut edt = [0.0f32; LANES];
-            field.distances_at_world_lanes(&ex, &ey, &mut edt);
-            for l in 0..LANES {
-                let d = edt[l].min(model.r_max);
-                log_sum[l] +=
-                    model.log_normalizer - (d * d) / (2.0 * model.sigma_obs * model.sigma_obs);
-            }
-        }
-
-        let mut sin_t = [0.0f32; LANES];
-        let mut cos_t = [0.0f32; LANES];
-        for l in 0..LANES {
-            let (s, c) = theta[l].sin_cos();
-            sin_t[l] = s;
-            cos_t[l] = c;
-        }
-        let mut log_sum = [0.0f32; LANES];
-        if let Some((end_x, end_y)) = batch.in_range_slices(self.r_max) {
-            if end_x.is_empty() {
-                *out = [0.0; LANES];
-                return;
-            }
-            for (&bx, &by) in end_x.iter().zip(end_y.iter()) {
-                score_beam(self, field, x, y, &sin_t, &cos_t, bx, by, &mut log_sum);
-            }
-            *out = log_sum;
-            return;
-        }
-        let end_x = batch.end_x_body();
-        let end_y = batch.end_y_body();
-        let mut used = 0usize;
-        for (i, &range) in batch.range_m().iter().enumerate() {
-            // Same predicate as the scalar fallback (and the partition).
-            if range.is_nan() || range >= self.r_max {
-                continue;
-            }
-            score_beam(
-                self,
-                field,
-                x,
-                y,
-                &sin_t,
-                &cos_t,
-                end_x[i],
-                end_y[i],
-                &mut log_sum,
-            );
-            used += 1;
-        }
-        if used == 0 {
-            *out = [0.0; LANES];
-            return;
-        }
-        *out = log_sum;
-    }
-
-    /// Likelihood (not log) of a full observation `z_t` for a particle at `pose`:
-    /// the product of the per-beam likelihoods of Eq. 1.
-    ///
-    /// When every beam is skipped the method returns 1.0, leaving the particle's
-    /// weight untouched — with no usable information the posterior equals the
-    /// prior.
-    pub fn observation_likelihood<D: DistanceField + ?Sized>(
-        &self,
-        field: &D,
-        pose: &mcl_gridmap::Pose2,
-        beams: &[Beam],
-    ) -> f32 {
-        self.observation_log_likelihood(field, pose, beams).exp()
-    }
-
-    /// Re-weights one particle in place: `w ← w · p(z_t | x_t, m)`.
-    pub fn reweight_particle<S: Scalar, D: DistanceField + ?Sized>(
-        &self,
-        field: &D,
-        particle: &mut Particle<S>,
-        beams: &[Beam],
-    ) {
-        let pose = particle.pose();
-        let likelihood = self.observation_likelihood(field, &pose, beams);
-        particle.weight = S::from_f32(particle.weight.to_f32() * likelihood);
-    }
-
-    /// Re-weights a slice of particles in place (one chunk of the cluster's
-    /// data-parallel correction step).
-    pub fn reweight<S: Scalar, D: DistanceField + ?Sized>(
-        &self,
-        field: &D,
-        particles: &mut [Particle<S>],
-        beams: &[Beam],
-    ) {
-        for p in particles {
-            self.reweight_particle(field, p, beams);
-        }
     }
 }
 
@@ -357,11 +193,12 @@ impl BeamEndPointModel {
 /// anchors are all skipped contributes log-likelihood 0.0 (likelihood 1),
 /// leaving the particle weight untouched.
 ///
-/// The model exists in scalar and lane-batched forms, both
-/// **bit-identical**: the hot body is one subtract pair, two multiplies, one
-/// add, one square root (correctly rounded, so a vector square root matches
-/// `f32::sqrt` exactly), one subtract, and the Eq. 1 log-term — no FMA, no
-/// `hypot`.
+/// Every scoring body — the per-position reference below and the
+/// correction kernel's lane groups — evaluates the same per-anchor
+/// log-term: one subtract pair, two multiplies, one add, one square root
+/// (correctly rounded, so a vector square root matches `f32::sqrt`
+/// exactly), one subtract, and the Eq. 1 log-term — no FMA, no `hypot` —
+/// so every backend is **bit-identical**.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnchorRangeModel {
     sigma_uwb: f32,
@@ -403,94 +240,46 @@ impl AnchorRangeModel {
         y: f32,
         anchor: &mcl_sensor::AnchorRange,
     ) -> Option<f32> {
-        self.score(x, y, anchor.anchor_x_m, anchor.anchor_y_m, anchor.range_m)
+        anchor_is_usable(anchor.anchor_x_m, anchor.anchor_y_m, anchor.range_m).then(|| {
+            self.residual_log_term(x, y, anchor.anchor_x_m, anchor.anchor_y_m, anchor.range_m)
+        })
     }
 
-    /// The scored-or-skipped core: `None` marks a skipped (unusable)
-    /// measurement.
+    /// The log-term of one **usable** anchor range `z` from the anchor at
+    /// `(ax, ay)` for a particle at `(x, y)`. Callers apply
+    /// [`mcl_sensor::anchor_is_usable`] first.
     #[inline(always)]
-    fn score(&self, x: f32, y: f32, ax: f32, ay: f32, z: f32) -> Option<f32> {
-        if !anchor_is_usable(ax, ay, z) {
-            return None;
-        }
+    pub(crate) fn residual_log_term(&self, x: f32, y: f32, ax: f32, ay: f32, z: f32) -> f32 {
         let dx = x - ax;
         let dy = y - ay;
         let dist = (dx * dx + dy * dy).sqrt();
         let r = dist - z;
-        Some(self.log_normalizer - (r * r) / (2.0 * self.sigma_uwb * self.sigma_uwb))
+        self.log_normalizer - (r * r) / (2.0 * self.sigma_uwb * self.sigma_uwb)
     }
 
     /// Log-likelihood of the full anchor set of `batch` for a particle at
     /// `(x, y)`: the sum of the per-anchor log-terms in anchor order.
     ///
     /// Unusable measurements are skipped; when every anchor is skipped (or
-    /// the batch carries none) the method returns 0.0 (likelihood 1), leaving
-    /// the particle's weight untouched — the beam model's convention.
+    /// the batch carries none) the sum is 0.0 (likelihood 1), leaving the
+    /// particle's weight untouched — the beam model's convention.
     pub fn batch_log_likelihood(&self, x: f32, y: f32, batch: &ObservationBatch) -> f32 {
         let anchor_x = batch.anchor_x_m();
         let anchor_y = batch.anchor_y_m();
         let mut log_sum = 0.0f32;
-        let mut used = 0usize;
         for (i, &z) in batch.anchor_range_m().iter().enumerate() {
-            let Some(ll) = self.score(x, y, anchor_x[i], anchor_y[i], z) else {
-                continue;
-            };
-            log_sum += ll;
-            used += 1;
-        }
-        if used == 0 {
-            return 0.0;
+            if anchor_is_usable(anchor_x[i], anchor_y[i], z) {
+                log_sum += self.residual_log_term(x, y, anchor_x[i], anchor_y[i], z);
+            }
         }
         log_sum
-    }
-
-    /// Lane-batched twin of [`AnchorRangeModel::batch_log_likelihood`]:
-    /// scores one [`LANES`](crate::kernel::LANES)-wide group of particle
-    /// positions at once. Per lane the arithmetic is the exact per-particle
-    /// op order of the scalar path, so every lane's score is
-    /// **bit-identical** to the scalar entry point; the lane structure only
-    /// turns the residual arithmetic into straight-line loops over
-    /// fixed-width arrays that vectorize.
-    pub fn batch_log_likelihood_lanes(
-        &self,
-        x: &[f32; crate::kernel::LANES],
-        y: &[f32; crate::kernel::LANES],
-        batch: &ObservationBatch,
-        out: &mut [f32; crate::kernel::LANES],
-    ) {
-        const LANES: usize = crate::kernel::LANES;
-        let anchor_x = batch.anchor_x_m();
-        let anchor_y = batch.anchor_y_m();
-        let mut log_sum = [0.0f32; LANES];
-        let mut used = 0usize;
-        for (i, &z) in batch.anchor_range_m().iter().enumerate() {
-            let ax = anchor_x[i];
-            let ay = anchor_y[i];
-            // Same skipping predicate as the scalar path.
-            if !anchor_is_usable(ax, ay, z) {
-                continue;
-            }
-            for l in 0..LANES {
-                let dx = x[l] - ax;
-                let dy = y[l] - ay;
-                let dist = (dx * dx + dy * dy).sqrt();
-                let r = dist - z;
-                log_sum[l] +=
-                    self.log_normalizer - (r * r) / (2.0 * self.sigma_uwb * self.sigma_uwb);
-            }
-            used += 1;
-        }
-        if used == 0 {
-            *out = [0.0; LANES];
-            return;
-        }
-        *out = log_sum;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::particle::{Particle, ParticleBuffer};
     use mcl_gridmap::{EuclideanDistanceField, MapBuilder, OccupancyGrid, Pose2};
     use mcl_sensor::{SensorConfig, SensorRig};
     use rand::SeedableRng;
@@ -512,6 +301,22 @@ mod tests {
         clean_rig().observe(map, pose, 0.0, &mut rng)
     }
 
+    /// The filter's correction step on `particles`: the batched Eq. 1
+    /// log-likelihoods, then the weights rescaled against their maximum.
+    fn reweight_through_the_kernels(
+        field: &EuclideanDistanceField,
+        model: &BeamEndPointModel,
+        particles: &mut ParticleBuffer<f32>,
+        beams: &[Beam],
+    ) {
+        use crate::kernel::{observation_log_likelihoods, reweight};
+        let mut logs = vec![0.0f32; particles.len()];
+        let batch = BeamBatch::from_beams(beams);
+        observation_log_likelihoods(particles.as_slice(), field, model, &batch, &mut logs);
+        let max_log = logs.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+        reweight(particles.weight_mut(), &logs, max_log);
+    }
+
     #[test]
     fn model_rejects_bad_parameters() {
         let ok = BeamEndPointModel::new(2.0, 1.5);
@@ -529,8 +334,8 @@ mod tests {
         // Near a corner so several beams are within r_max.
         let truth = Pose2::new(1.0, 1.0, 0.0);
         let beams = beams_at(&map, &truth);
-        let l_true = model.observation_likelihood(&edt, &truth, &beams);
-        let l_wrong = model.observation_likelihood(&edt, &Pose2::new(2.0, 2.4, 1.2), &beams);
+        let l_true = model.observation_log_likelihood(&edt, &truth, &beams);
+        let l_wrong = model.observation_log_likelihood(&edt, &Pose2::new(2.0, 2.4, 1.2), &beams);
         assert!(
             l_true > l_wrong,
             "true {l_true} should beat wrong {l_wrong}"
@@ -550,7 +355,10 @@ mod tests {
         };
         assert!(model.beam_log_likelihood(&edt, &pose, &long_beam).is_none());
         // An observation consisting only of skipped beams leaves weights alone.
-        assert_eq!(model.observation_likelihood(&edt, &pose, &[long_beam]), 1.0);
+        assert_eq!(
+            model.observation_log_likelihood(&edt, &pose, &[long_beam]),
+            0.0
+        );
     }
 
     #[test]
@@ -606,14 +414,15 @@ mod tests {
         let model = BeamEndPointModel::new(0.5, 1.5);
         let truth = Pose2::new(1.0, 1.0, 0.0);
         let beams = beams_at(&map, &truth);
-        let mut particles = vec![
-            Particle::<f32>::from_pose(&truth, 1.0),
-            Particle::<f32>::from_pose(&Pose2::new(2.2, 2.7, 0.6), 1.0),
-            Particle::<f32>::from_pose(&Pose2::new(3.2, 1.1, 3.0), 1.0),
-        ];
-        model.reweight(&edt, &mut particles, &beams);
-        assert!(particles[0].weight > particles[1].weight);
-        assert!(particles[0].weight > particles[2].weight);
+        let mut particles: ParticleBuffer<f32> =
+            [truth, Pose2::new(2.2, 2.7, 0.6), Pose2::new(3.2, 1.1, 3.0)]
+                .iter()
+                .map(|pose| Particle::from_pose(pose, 1.0))
+                .collect();
+        reweight_through_the_kernels(&edt, &model, &mut particles, &beams);
+        let weights = particles.weight();
+        assert!(weights[0] > weights[1]);
+        assert!(weights[0] > weights[2]);
     }
 
     #[test]
@@ -625,8 +434,10 @@ mod tests {
         let truth = Pose2::new(1.3, 2.1, 0.8);
         let beams = beams_at(&map, &truth);
         for pose in [truth, Pose2::new(2.0, 2.0, 0.0), Pose2::new(3.0, 1.0, 2.0)] {
-            let full = model.observation_likelihood(&edt, &pose, &beams);
-            let quant = model.observation_likelihood(&quantized, &pose, &beams);
+            let full = model.observation_log_likelihood(&edt, &pose, &beams).exp();
+            let quant = model
+                .observation_log_likelihood(&quantized, &pose, &beams)
+                .exp();
             assert!(
                 (full - quant).abs() / full < 0.05,
                 "quantized likelihood deviates: {full} vs {quant}"
@@ -682,6 +493,8 @@ mod tests {
                 origin_body: Pose2::default(),
             })
             .collect();
+        // Unpartitioned, the model scores an owned copy of the in-range end
+        // points; partitioned, the borrowed prefix. Same terms, same order.
         let unpartitioned = BeamBatch::from_beams(&beams);
         let mut partitioned = unpartitioned.clone();
         let prefix = partitioned.partition_in_range(model.r_max());
@@ -697,8 +510,8 @@ mod tests {
                 model.batch_log_likelihood(&edt, pose.x, pose.y, pose.theta, &partitioned);
             assert_eq!(skipping.to_bits(), branch_free.to_bits());
         }
-        // A partition for a *different* r_max is ignored (falls back to the
-        // per-beam test) and still scores identically.
+        // A partition for a *different* r_max is ignored (the model resolves
+        // an owned copy for its own r_max) and still scores identically.
         let mut other = unpartitioned.clone();
         other.partition_in_range(0.9);
         let fallback = model.batch_log_likelihood(&edt, 1.3, 2.1, 0.8, &other);
@@ -708,7 +521,7 @@ mod tests {
         reordered.partition_in_range(model.r_max());
         let expected = model.batch_log_likelihood(&edt, 1.3, 2.1, 0.8, &reordered);
         assert_eq!(fallback.to_bits(), expected.to_bits());
-        // All beams out of range → neutral likelihood on the prefix path too.
+        // All beams out of range → neutral likelihood from the empty prefix.
         let far = Beam {
             azimuth_body_rad: 0.0,
             range_m: 2.0,
@@ -725,9 +538,9 @@ mod tests {
     #[test]
     fn nan_ranges_are_skipped_on_both_batch_paths() {
         // A corrupt sensor distance (NaN range) must be excluded from the
-        // score whether or not the batch was partitioned — the prefix keeps
-        // `range < r_max` and the fallback must apply the same predicate, or
-        // the two paths diverge (and the fallback NaN-poisons the weights).
+        // score whether or not the batch was partitioned — the borrowed
+        // prefix and the owned in-range copy both keep `range < r_max`, or
+        // the two diverge (and a NaN term poisons the weights).
         let map = room();
         let edt = EuclideanDistanceField::compute(&map, 1.5);
         let model = BeamEndPointModel::new(0.3, 1.5);
@@ -750,7 +563,7 @@ mod tests {
         let prefix = model.batch_log_likelihood(&edt, 1.3, 2.1, 0.8, &partitioned);
         assert!(
             fallback.is_finite(),
-            "NaN beam leaked into the fallback sum"
+            "NaN beam leaked into the owned in-range copy"
         );
         assert_eq!(fallback.to_bits(), prefix.to_bits());
         // Only NaN beams at all → neutral likelihood on both paths.
@@ -766,9 +579,10 @@ mod tests {
         let map = room();
         let edt = EuclideanDistanceField::compute(&map, 1.5);
         let model = BeamEndPointModel::new(2.0, 1.5);
-        let mut p = Particle::<f32>::from_pose(&Pose2::new(1.0, 1.0, 0.0), 0.7);
-        model.reweight_particle(&edt, &mut p, &[]);
-        assert_eq!(p.weight, 0.7);
+        let mut particles: ParticleBuffer<f32> =
+            std::iter::once(Particle::from_pose(&Pose2::new(1.0, 1.0, 0.0), 0.7)).collect();
+        reweight_through_the_kernels(&edt, &model, &mut particles, &[]);
+        assert_eq!(particles.weight()[0], 0.7);
     }
 
     use mcl_sensor::AnchorRange;
@@ -831,10 +645,16 @@ mod tests {
             model.batch_log_likelihood(2.0, 2.0, &ObservationBatch::new()),
             0.0
         );
-        let mut lanes = [1.0f32; crate::kernel::LANES];
-        model.batch_log_likelihood_lanes(
-            &[2.0; crate::kernel::LANES],
-            &[2.0; crate::kernel::LANES],
+        // The kernel's lane groups add the neutral +0.0 to the accumulator.
+        use crate::kernel::{anchor_log_likelihoods_with, KernelBackend};
+        let particles: ParticleBuffer<f32> = (0..crate::kernel::LANES)
+            .map(|_| Particle::from_pose(&Pose2::new(2.0, 2.0, 0.0), 1.0))
+            .collect();
+        let mut lanes = [0.0f32; crate::kernel::LANES];
+        anchor_log_likelihoods_with(
+            KernelBackend::Lanes,
+            particles.as_slice(),
+            &model,
             &all_bad,
             &mut lanes,
         );
@@ -843,10 +663,10 @@ mod tests {
 
     #[test]
     fn anchor_lane_and_avx2_paths_match_scalar_bit_for_bit() {
-        // The lane body scores every lane bit-identically to the scalar
-        // entry point; the Avx2 backend's anchor kernel runs that lane body.
+        // The kernel's lane body scores every lane bit-identically to the
+        // scalar entry point; the Avx2 backend's anchor kernel runs that lane
+        // body.
         use crate::kernel::{anchor_log_likelihoods_with, KernelBackend};
-        use crate::particle::ParticleBuffer;
         const LANES: usize = crate::kernel::LANES;
         let model = AnchorRangeModel::new(0.17);
         let mut obs = anchors_for((1.7, 2.9));
@@ -858,16 +678,22 @@ mod tests {
             xs[l] = 0.4 + 0.41 * l as f32;
             ys[l] = 3.6 - 0.37 * l as f32;
         }
+        let particles: ParticleBuffer<f32> = (0..LANES)
+            .map(|l| Particle::from_pose(&Pose2::new(xs[l], ys[l], 0.0), 1.0))
+            .collect();
         let mut lane_out = [0.0f32; LANES];
-        model.batch_log_likelihood_lanes(&xs, &ys, &obs, &mut lane_out);
+        anchor_log_likelihoods_with(
+            KernelBackend::Lanes,
+            particles.as_slice(),
+            &model,
+            &obs,
+            &mut lane_out,
+        );
         for l in 0..LANES {
             let scalar = model.batch_log_likelihood(xs[l], ys[l], &obs);
             assert!(scalar.is_finite(), "lane {l}");
             assert_eq!(lane_out[l].to_bits(), scalar.to_bits(), "lane {l}");
         }
-        let particles: ParticleBuffer<f32> = (0..LANES)
-            .map(|l| Particle::from_pose(&Pose2::new(xs[l], ys[l], 0.0), 1.0))
-            .collect();
         let mut avx_out = [0.0f32; LANES];
         anchor_log_likelihoods_with(
             KernelBackend::Avx2,

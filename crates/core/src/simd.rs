@@ -41,7 +41,6 @@ use crate::observation::BeamEndPointModel;
 use crate::particle::ParticleSliceMut;
 use mcl_gridmap::DistanceField;
 use mcl_num::Scalar;
-use mcl_sensor::BeamBatch;
 
 // The lane kernels and the 256-bit registers must agree on the group width.
 const _: () = assert!(LANES == 8, "the AVX2 body assumes 8 f32 lanes");
@@ -85,21 +84,24 @@ pub(crate) fn motion_lane_groups<S: Scalar>(
     unsafe { groups(particles, model, delta, seed, update_index, first_index) }
 }
 
-/// Scores one [`LANES`]-wide group of particle poses against a beam batch —
-/// the AVX2 group scorer of `observation_log_likelihoods_with`, bit-identical to
-/// [`BeamEndPointModel::batch_log_likelihood`] per lane.
+/// Scores one [`LANES`]-wide group of particle poses against the resolved
+/// in-range end points `(end_x, end_y)` — the AVX2 group scorer of
+/// `observation_log_likelihoods_with`, bit-identical per lane to
+/// [`BeamEndPointModel::batch_log_likelihood`].
 ///
 /// The yaw `sin_cos` stays scalar per lane (libm call); the per-beam rotation,
 /// truncated EDT lookup (through
 /// [`DistanceField::distances_at_world_lanes_avx2`], which gathers on AVX2
 /// fields) and Eq. 1 accumulation run as 8-wide register ops.
+#[allow(clippy::too_many_arguments)] // the full lane-group register set
 pub(crate) fn score_pose_group<D: DistanceField + ?Sized>(
     model: &BeamEndPointModel,
     field: &D,
     x: &[f32; LANES],
     y: &[f32; LANES],
     theta: &[f32; LANES],
-    batch: &BeamBatch,
+    end_x: &[f32],
+    end_y: &[f32],
     out: &mut [f32; LANES],
 ) {
     debug_assert!(available());
@@ -113,38 +115,13 @@ pub(crate) fn score_pose_group<D: DistanceField + ?Sized>(
     // Same constant the scalar body folds out of `2.0 * σ * σ`: identical
     // expression, identical roundings.
     let denom = 2.0 * model.sigma_obs() * model.sigma_obs();
-    if let Some((end_x, end_y)) = batch.in_range_slices(model.r_max()) {
-        if end_x.is_empty() {
-            *out = [0.0; LANES];
-            return;
-        }
-        // SAFETY: `available` was checked by the caller (debug-asserted
-        // above), so the AVX2 target feature is present.
-        unsafe {
-            score_beams(
-                field,
-                end_x,
-                end_y,
-                None,
-                model.r_max(),
-                model.log_normalizer(),
-                denom,
-                x,
-                y,
-                &sin_t,
-                &cos_t,
-                out,
-            );
-        }
-        return;
-    }
-    // SAFETY: as above — AVX2 presence checked by the caller.
-    let used = unsafe {
+    // SAFETY: `available` was checked by the caller (debug-asserted above),
+    // so the AVX2 target feature is present.
+    unsafe {
         score_beams(
             field,
-            batch.end_x_body(),
-            batch.end_y_body(),
-            Some(batch.range_m()),
+            end_x,
+            end_y,
             model.r_max(),
             model.log_normalizer(),
             denom,
@@ -153,18 +130,12 @@ pub(crate) fn score_pose_group<D: DistanceField + ?Sized>(
             &sin_t,
             &cos_t,
             out,
-        )
-    };
-    if used == 0 {
-        *out = [0.0; LANES];
+        );
     }
 }
 
-/// The register-resident beam loop of [`score_pose_group`]. With
-/// `ranges = None` every beam is scored (the branch-free in-range prefix);
-/// with `Some(ranges)` the scalar skipping predicate (`NaN` or `≥ r_max`)
-/// filters beams exactly like the scalar fallback. Returns the number of
-/// beams scored.
+/// The register-resident beam loop of [`score_pose_group`]: scores every
+/// end point `(end_x[i], end_y[i])` in order.
 ///
 /// # Safety
 ///
@@ -175,7 +146,6 @@ unsafe fn score_beams<D: DistanceField + ?Sized>(
     field: &D,
     end_x: &[f32],
     end_y: &[f32],
-    ranges: Option<&[f32]>,
     r_max: f32,
     log_normalizer: f32,
     denom: f32,
@@ -184,7 +154,7 @@ unsafe fn score_beams<D: DistanceField + ?Sized>(
     sin_t: &[f32; LANES],
     cos_t: &[f32; LANES],
     out: &mut [f32; LANES],
-) -> usize {
+) {
     let x_v = _mm256_loadu_ps(x.as_ptr());
     let y_v = _mm256_loadu_ps(y.as_ptr());
     let sin_v = _mm256_loadu_ps(sin_t.as_ptr());
@@ -193,20 +163,12 @@ unsafe fn score_beams<D: DistanceField + ?Sized>(
     let norm_v = _mm256_set1_ps(log_normalizer);
     let denom_v = _mm256_set1_ps(denom);
     let mut log_sum = _mm256_setzero_ps();
-    let mut used = 0usize;
     let mut ex = [0.0f32; LANES];
     let mut ey = [0.0f32; LANES];
     let mut edt = [0.0f32; LANES];
-    for i in 0..end_x.len() {
-        if let Some(ranges) = ranges {
-            // The scalar fallback's predicate, verbatim.
-            let range = ranges[i];
-            if range.is_nan() || range >= r_max {
-                continue;
-            }
-        }
-        let bx = _mm256_set1_ps(end_x[i]);
-        let by = _mm256_set1_ps(end_y[i]);
+    for (&x_body, &y_body) in end_x.iter().zip(end_y) {
+        let bx = _mm256_set1_ps(x_body);
+        let by = _mm256_set1_ps(y_body);
         // ex = (x + cos·bx) − sin·by and ey = (y + sin·bx) + cos·by, with the
         // scalar body's association and one rounding per op — no FMA.
         let ex_v = _mm256_sub_ps(
@@ -228,8 +190,6 @@ unsafe fn score_beams<D: DistanceField + ?Sized>(
         // log_normalizer − d² / denom, accumulated in beam order per lane.
         let term = _mm256_sub_ps(norm_v, _mm256_div_ps(_mm256_mul_ps(d, d), denom_v));
         log_sum = _mm256_add_ps(log_sum, term);
-        used += 1;
     }
     _mm256_storeu_ps(out.as_mut_ptr(), log_sum);
-    used
 }

@@ -9,8 +9,8 @@
 //! * the beam end point is resolved in the *drone body frame*
 //!   (`sensor offset + range · (cos az, sin az)`) and stored in two contiguous
 //!   arrays `end_x_body[]` / `end_y_body[]`;
-//! * the measured ranges stay available in `range_m[]` so the observation model
-//!   can keep skipping beams at or beyond its `r_max` truncation.
+//! * the measured ranges stay available in `range_m[]` for the observation
+//!   model's `r_max` truncation.
 //!
 //! Scoring a particle then needs exactly one `sin_cos` (of the particle's yaw)
 //! plus four multiply-adds and one distance-field lookup per beam — the
@@ -19,19 +19,24 @@
 //! associates the trigonometry differently, so likelihoods may differ from the
 //! per-beam path in the last float ulp.
 //!
-//! The observation model additionally skips beams at or beyond its `r_max`
-//! truncation, a per-particle-per-beam branch in the hot loop. Because `r_max`
-//! is fixed per filter configuration, [`BeamBatch::partition_in_range`] hoists
-//! the test out of the loop **once per update**: it stably partitions the
-//! arrays so every in-range beam forms a leading prefix, and records the
-//! `(r_max, prefix length)` pair. The correction kernel then iterates the
-//! prefix with a branch-free body. The partition is *stable* (in-range beams
-//! keep their relative order), so the per-beam log-likelihood sum associates
-//! exactly as in the skipping loop — results are bit-identical.
+//! The observation model scores only beams measuring strictly below its
+//! `r_max` truncation (a NaN range is excluded too). This module is the one
+//! place that rule is applied: [`BeamBatch::in_range_slices`] resolves the
+//! in-range end points once per kernel call, and every scoring body scores
+//! each entry it is handed, with no range test in the hot loop. Because
+//! `r_max` is fixed per filter configuration,
+//! [`BeamBatch::partition_in_range`] can do the work **once per update**: it
+//! stably partitions the arrays so every in-range beam forms a leading prefix
+//! and records the `(r_max, prefix length)` pair, and the resolver then
+//! borrows that prefix instead of copying. The partition is *stable*
+//! (in-range beams keep their relative order), so the borrowed prefix and
+//! the owned copy hold the same end points in the same order and every
+//! log-likelihood sum over them is bit-identical.
 
 use crate::measurement::{Beam, ToFFrame};
 use crate::rig::SensorRig;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// The cached outcome of [`BeamBatch::partition_in_range`]: every beam in
 /// `0..len` measures strictly below `r_max`.
@@ -92,11 +97,11 @@ impl BeamBatch {
     /// [`BeamBatch::in_range_prefix`] lookups, and returns its length.
     ///
     /// In-range beams keep their relative order (and so do the out-of-range
-    /// beams moved behind them), so a correction kernel iterating only the
-    /// prefix accumulates the per-beam log-likelihoods in exactly the order of
-    /// the skipping loop — the scores are bit-identical, just branch-free.
-    /// Call this once per update, after the batch is fully built; `r_max` is a
-    /// static filter parameter, so the partition is reused by every particle.
+    /// beams moved behind them), so [`BeamBatch::in_range_slices`] can borrow
+    /// the prefix instead of copying the in-range end points, and the scores
+    /// stay bit-identical. Call this once per update, after the batch is
+    /// fully built; `r_max` is a static filter parameter, so the partition is
+    /// reused by every kernel call.
     pub fn partition_in_range(&mut self, r_max: f32) -> usize {
         if let Some(prefix) = self.in_range {
             if prefix.r_max == r_max {
@@ -119,24 +124,42 @@ impl BeamBatch {
     /// Length of the in-range prefix previously computed by
     /// [`BeamBatch::partition_in_range`] for this exact `r_max`, or `None`
     /// when the batch has not been partitioned (or was partitioned for a
-    /// different truncation) — callers then fall back to the per-beam range
-    /// test.
+    /// different truncation).
     pub fn in_range_prefix(&self, r_max: f32) -> Option<usize> {
         self.in_range
             .filter(|prefix| prefix.r_max == r_max)
             .map(|prefix| prefix.len)
     }
 
-    /// The in-range end-point prefix for `r_max` as `(end_x_body, end_y_body)`
-    /// slices, when the batch was [partitioned](BeamBatch::partition_in_range)
-    /// for exactly this truncation — the branch-free view the lane-batched
-    /// correction kernel iterates once per lane group instead of re-checking
-    /// the prefix per particle. `None` when the batch is unpartitioned (or was
-    /// partitioned for a different truncation); callers then fall back to the
-    /// per-beam range test.
-    pub fn in_range_slices(&self, r_max: f32) -> Option<(&[f32], &[f32])> {
-        self.in_range_prefix(r_max)
-            .map(|len| (&self.end_x_body[..len], &self.end_y_body[..len]))
+    /// The body-frame end points `(end_x_body, end_y_body)` of exactly the
+    /// beams measuring strictly below `r_max` (a NaN range is excluded), in
+    /// their original order — the only beams the observation model scores.
+    ///
+    /// When the batch was [partitioned](BeamBatch::partition_in_range) for
+    /// exactly this `r_max` the pair borrows the partition's prefix;
+    /// otherwise it is an owned copy of the in-range end points. The
+    /// partition is stable, so both forms hold the same values in the same
+    /// order. The correction kernel resolves this once per chunk call and
+    /// scores every entry branch-free.
+    pub fn in_range_slices(&self, r_max: f32) -> (Cow<'_, [f32]>, Cow<'_, [f32]>) {
+        if let Some(len) = self.in_range_prefix(r_max) {
+            return (
+                Cow::Borrowed(&self.end_x_body[..len]),
+                Cow::Borrowed(&self.end_y_body[..len]),
+            );
+        }
+        let in_range = |values: &[f32]| -> Vec<f32> {
+            values
+                .iter()
+                .zip(&self.range_m)
+                .filter(|&(_, &range)| range < r_max)
+                .map(|(&value, _)| value)
+                .collect()
+        };
+        (
+            Cow::Owned(in_range(&self.end_x_body)),
+            Cow::Owned(in_range(&self.end_y_body)),
+        )
     }
 
     /// Number of beams in the batch.
@@ -159,7 +182,8 @@ impl BeamBatch {
         &self.end_y_body
     }
 
-    /// Measured ranges, metres (used for the observation model's `r_max` skip).
+    /// Measured ranges, metres (the input of the observation model's `r_max`
+    /// truncation, see [`BeamBatch::in_range_slices`]).
     pub fn range_m(&self) -> &[f32] {
         &self.range_m
     }
@@ -288,22 +312,47 @@ mod tests {
             range_m: range,
             origin_body: Pose2::default(),
         };
+        let is_borrowed = |(xs, ys): &(Cow<'_, [f32]>, Cow<'_, [f32]>)| {
+            matches!(xs, Cow::Borrowed(_)) && matches!(ys, Cow::Borrowed(_))
+        };
         let beams = [make(0.5, 0.0), make(2.0, 0.3), make(0.7, 0.6)];
+        // The in-range beams (range < 1.5), in their original order.
+        let expected = BeamBatch::from_beams(&[beams[0], beams[2]]);
+        let matches_expected = |(xs, ys): &(Cow<'_, [f32]>, Cow<'_, [f32]>)| {
+            **xs == *expected.end_x_body() && **ys == *expected.end_y_body()
+        };
         let mut batch = BeamBatch::from_beams(&beams);
-        // Unpartitioned (and wrong-truncation) batches expose no view.
-        assert!(batch.in_range_slices(1.5).is_none());
+        // Unpartitioned: an owned copy of the in-range beams.
+        let owned = batch.in_range_slices(1.5);
+        assert!(!is_borrowed(&owned));
+        assert!(matches_expected(&owned));
         let len = batch.partition_in_range(1.5);
         assert_eq!(len, 2);
-        assert!(batch.in_range_slices(1.0).is_none());
-        let (xs, ys) = batch.in_range_slices(1.5).unwrap();
-        assert_eq!(xs.len(), 2);
-        assert_eq!(ys.len(), 2);
-        assert_eq!(xs, &batch.end_x_body()[..2]);
-        assert_eq!(ys, &batch.end_y_body()[..2]);
+        // Partitioned for this r_max: the borrowed prefix, same values.
+        let borrowed = batch.in_range_slices(1.5);
+        assert!(is_borrowed(&borrowed));
+        assert_eq!(&*borrowed.0, &batch.end_x_body()[..2]);
+        assert_eq!(&*borrowed.1, &batch.end_y_body()[..2]);
+        assert!(matches_expected(&borrowed));
+        // Partitioned for a different r_max: an owned copy for the asked one
+        // (only the 0.5 m beam is below 0.6 m).
+        let other = batch.in_range_slices(0.6);
+        assert!(!is_borrowed(&other));
+        assert_eq!(&*other.0, &expected.end_x_body()[..1]);
+        assert_eq!(&*other.1, &expected.end_y_body()[..1]);
+        // NaN ranges are excluded from both forms.
+        let mut nan_batch =
+            BeamBatch::from_beams(&[make(0.5, 0.0), make(f32::NAN, 0.3), make(0.7, 0.6)]);
+        assert!(matches_expected(&nan_batch.in_range_slices(1.5)));
+        nan_batch.partition_in_range(1.5);
+        let nan_borrowed = nan_batch.in_range_slices(1.5);
+        assert!(is_borrowed(&nan_borrowed));
+        assert!(matches_expected(&nan_borrowed));
         // An all-skipped batch exposes an empty (not absent) prefix.
         let mut far = BeamBatch::from_beams(&[make(2.0, 0.0)]);
+        assert!(far.in_range_slices(1.5).0.is_empty());
         far.partition_in_range(1.5);
-        let (xs, ys) = far.in_range_slices(1.5).unwrap();
+        let (xs, ys) = far.in_range_slices(1.5);
         assert!(xs.is_empty() && ys.is_empty());
     }
 
